@@ -101,7 +101,10 @@ class FieldScanResult:
     k: int
     lam: int
     class_size: int
-    scanned: int  # sides A whose maximal partner set had >= 2 elements
+    # every side A (2 <= |A| <= max_side) whose maximal partner set has >= 2
+    # elements; only those containing 1 are walked, the rest are counted
+    # through their scaling orbits
+    scanned: int
     max_product: int  # largest |A||B| seen
     extremal: tuple[tuple[int, ...], tuple[int, ...]] | None
     min_slack: int | None  # tightest margin of the size inequality
@@ -121,7 +124,18 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
     For fixed A the inequality |A||B| <= |S_k| + |B o (-lam A^-1)| + |A| - 1
     is tightest at the maximal B (removing one b costs the left side |A| >= 2
     and the right side at most 2), so checking the maximal partner set per A
-    covers every admissible pair.  Both role assignments are checked.
+    covers every admissible pair.  Both role assignments are checked, and
+    they share one correction: a -> -lam/a maps {a in A : -lam/a in B} onto
+    {b in B : -lam/b in A}, so both corrections equal |B & -lam A^-1| and
+    the slack is |S_k| + corr + min(|A|, |B|) - 1 - |A||B|.
+
+    For t != 0, (A, B) -> (tA, t^-1 B) keeps every product a*b, hence the
+    maximal-partner relation, both sizes and the correction.  Every orbit
+    holds a side containing 1, so only those sides (the first subtree of the
+    lexicographic walk, where the first side reaching the largest product
+    also lies) are walked.  Each walked side of size s stands for (p-1)/s
+    sides of the full scan: an orbit with stabilizer H has (p-1)/|H| sides,
+    s/|H| of which contain 1.  Violations are expanded over their orbits.
     """
     if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
         raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
@@ -129,55 +143,66 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
     good = power_classes(p, k) | {0}
     # comp[a] = bitmask of partners b with a*b + lam in the allowed classes
     comp = [0] * p
+    negbit = [0] * p  # a -> the bit at -lam / a mod p
     for a in range(1, p):
         row = 0
         for b in range(1, p):
             if (a * b + lam) % p in good:
                 row |= 1 << b
         comp[a] = row
+        negbit[a] = 1 << (-lam * pow(a, -1, p) % p)
     class_size = config.class_size
-    neg_inv = [0] * p  # a -> -lam / a mod p
-    for a in range(1, p):
-        neg_inv[a] = (-lam * pow(a, -1, p)) % p
 
-    scanned = 0
+    walked = [0] * (max_side + 1)  # walked sides per size
     max_product = 0
     extremal = None
     min_slack = None
-    violations: list = []
+    violating: list = []  # (side, mask) of walked sides
 
-    def check(side: tuple[int, ...], mask: int, nb: int):
-        nonlocal scanned, max_product, extremal, min_slack
-        scanned += 1
-        B = tuple(_bits(mask))
+    def grow(side: tuple[int, ...], mask: int, neg: int):
+        # mask has >= 2 bits; partner sets only shrink as the side grows
+        nonlocal max_product, extremal, min_slack
         na = len(side)
-        product = na * nb
-        corr_b = sum(1 for a in side if mask >> neg_inv[a] & 1)
-        in_a = set(side)
-        corr_a = sum(1 for b in B if neg_inv[b] in in_a)
-        slack = min(class_size + corr_b + na - 1 - product,
-                    class_size + corr_a + nb - 1 - product)
-        if product > max_product:
-            max_product, extremal = product, (side, B)
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        if slack < 0:
-            violations.append((side, B))
-            logger.error("size inequality failed at p=%d k=%d lam=%d A=%s B=%s",
-                         p, k, lam, side, B)
-
-    def grow(side: tuple[int, ...], mask: int):
-        nb = mask.bit_count()
-        if nb < 2:
-            return  # partner sets only shrink below; nothing admissible here
-        if len(side) >= 2:
-            check(side, mask, nb)
-        if len(side) < max_side:
+        if na >= 2:
+            walked[na] += 1
+            nb = mask.bit_count()
+            product = na * nb
+            slack = (class_size + (mask & neg).bit_count() + min(na, nb) - 1
+                     - product)
+            if product > max_product:
+                max_product, extremal = product, (side, tuple(_bits(mask)))
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+            if slack < 0:
+                violating.append((side, mask))
+        if na < max_side:
             for a in range(side[-1] + 1, p):
-                grow(side + (a,), mask & comp[a])
+                child = mask & comp[a]
+                if child.bit_count() >= 2:
+                    grow(side + (a,), child, neg | negbit[a])
 
-    for a in range(1, p):
-        grow((a,), comp[a])
+    if comp[1].bit_count() >= 2:
+        grow((1,), comp[1], negbit[1])
+
+    scanned = 0
+    for s in range(2, max_side + 1):
+        if walked[s] * (p - 1) % s:
+            raise InvariantViolation(
+                f"{walked[s]} walked sides of size {s} do not fill whole "
+                f"scaling orbits at p={p} k={k} lam={lam}")
+        scanned += walked[s] * (p - 1) // s
+
+    expanded = set()
+    for side, mask in violating:
+        B = tuple(_bits(mask))
+        for t in range(1, p):
+            t_inv = pow(t, -1, p)
+            expanded.add((tuple(sorted(a * t % p for a in side)),
+                          tuple(sorted(b * t_inv % p for b in B))))
+    violations = sorted(expanded)
+    for A, B in violations:
+        logger.error("size inequality failed at p=%d k=%d lam=%d A=%s B=%s",
+                     p, k, lam, A, B)
 
     return FieldScanResult(p, k, lam, class_size, scanned, max_product,
                            extremal, min_slack, tuple(violations))

@@ -2,7 +2,9 @@
 cliques, character sums."""
 
 import itertools
+import logging
 import random
+from dataclasses import dataclass
 
 import networkx as nx
 import pytest
@@ -11,6 +13,7 @@ from diotuple.errors import InputError, InvariantViolation
 from diotuple.ff import (
     CharacterSumResult,
     FieldConfig,
+    FieldScanResult,
     char_sum,
     dlog_table,
     ff_scan_bipartite,
@@ -131,6 +134,107 @@ def test_ff_scan_bipartite_sweep_nonnegative_slack():
                 assert r.violations == (), (p, k, lam)
                 if r.min_slack is not None:
                     assert r.min_slack >= 0
+
+
+def reference_scan_bipartite(config, max_side):
+    """The exhaustive scan: every side A in lexicographic order, with both
+    corrections counted separately.  Test-only oracle for the orbit walk."""
+    p, k, lam = config.p, config.k, config.lam
+    good = power_classes(p, k) | {0}
+    comp = [0] * p
+    for a in range(1, p):
+        for b in range(1, p):
+            if (a * b + lam) % p in good:
+                comp[a] |= 1 << b
+    neg_inv = [0] + [(-lam * pow(a, -1, p)) % p for a in range(1, p)]
+    class_size = config.class_size
+    scanned, max_product, extremal, min_slack = 0, 0, None, None
+    violations = []
+
+    def check(side, mask, nb):
+        nonlocal scanned, max_product, extremal, min_slack
+        scanned += 1
+        B = tuple(b for b in range(1, p) if mask >> b & 1)
+        na = len(side)
+        product = na * nb
+        corr_b = sum(1 for a in side if mask >> neg_inv[a] & 1)
+        in_a = set(side)
+        corr_a = sum(1 for b in B if neg_inv[b] in in_a)
+        slack = min(class_size + corr_b + na - 1 - product,
+                    class_size + corr_a + nb - 1 - product)
+        if product > max_product:
+            max_product, extremal = product, (side, B)
+        if min_slack is None or slack < min_slack:
+            min_slack = slack
+        if slack < 0:
+            violations.append((side, B))
+
+    def grow(side, mask):
+        nb = mask.bit_count()
+        if nb < 2:
+            return
+        if len(side) >= 2:
+            check(side, mask, nb)
+        if len(side) < max_side:
+            for a in range(side[-1] + 1, p):
+                grow(side + (a,), mask & comp[a])
+
+    for a in range(1, p):
+        grow((a,), comp[a])
+    return FieldScanResult(p, k, lam, class_size, scanned, max_product,
+                           extremal, min_slack, tuple(violations))
+
+
+@dataclass(frozen=True)
+class UnderstatedConfig(FieldConfig):
+    """Reports |S_k| too small by `deficit`, so that scans find violations."""
+
+    deficit: int = 0
+
+    @property
+    def class_size(self) -> int:
+        return super().class_size - self.deficit
+
+
+def test_ff_scan_bipartite_matches_exhaustive_scan():
+    for p in primes_up_to(31):
+        if p < 5:
+            continue
+        for k in (2, 3, 6):
+            if (p - 1) % k:
+                continue
+            for lam in range(1, p):
+                for max_side in (2, 3):
+                    cfg = FieldConfig(p, k, lam)
+                    assert (ff_scan_bipartite(cfg, max_side)
+                            == reference_scan_bipartite(cfg, max_side)), (
+                        p, k, lam, max_side)
+
+
+@pytest.mark.parametrize("p, k, lam, max_side, deficit, member", [
+    # A = {1, 3, 9} is fixed by t = 3 (3^3 = 1 mod 13), and so is its
+    # partner set {7, 8, 11}: an orbit of 4 sides, not 12
+    (13, 2, 2, 3, 3, ((1, 3, 9), (7, 8, 11))),
+    # side size 3 does not divide p - 1 = 10
+    (11, 2, 2, 3, 1, None),
+    # the frozen scan above, its extremal pair among the violations
+    (13, 3, 1, 3, 3, ((1, 3), (4, 11))),
+    # sides of four elements
+    (31, 3, 5, 4, 3, None),
+])
+def test_ff_scan_bipartite_violations_match_exhaustive_scan(
+        caplog, p, k, lam, max_side, deficit, member):
+    cfg = UnderstatedConfig(p, k, lam, deficit=deficit)
+    with caplog.at_level(logging.ERROR, logger="diotuple.ff"):
+        r = ff_scan_bipartite(cfg, max_side)
+    want = reference_scan_bipartite(cfg, max_side)
+    assert want.violations
+    assert r == want  # violations in the same order, and the same extremal
+    if member is not None:
+        assert member in r.violations
+    assert [rec.getMessage() for rec in caplog.records] == [
+        f"size inequality failed at p={p} k={k} lam={lam} A={A} B={B}"
+        for A, B in want.violations]
 
 
 def test_ff_scan_bipartite_cap():
