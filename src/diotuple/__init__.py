@@ -19,9 +19,9 @@ from .core import (BipartitePair, DiophantineTuple, GapCertificate,
                    gap_lower_bound, growth_exponents, verify_bipartite,
                    verify_tuple)
 from .errors import HypothesisError, InputError, InvariantViolation
-from .exact import (ExactRational, compare_value_to_power, format_natural,
-                    format_rational, integer_kth_root, is_perfect_kth_power,
-                    is_prime, parse_natural, parse_rational, trial_factor)
+from .exact import (compare_value_to_power, format_natural, format_rational,
+                    integer_kth_root, is_perfect_kth_power, is_prime,
+                    parse_natural, parse_rational, trial_factor)
 from .ff import (CharacterSumResult, CliqueScanResult, FieldConfig,
                  FieldScanResult, char_sum, ff_scan_bipartite, ff_scan_clique,
                  ff_verify, power_classes, primitive_root)
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartitePair", "BoundReport", "CharacterSumResult", "CliqueScanResult",
-    "DiophantineTuple", "ExactRational", "FieldConfig", "FieldScanResult",
+    "DiophantineTuple", "FieldConfig", "FieldScanResult",
     "GapCertificate", "GrowthReport", "HypothesisError", "InputError",
     "InvariantViolation", "PipelineResult", "SearchBudget", "SearchOutcome",
     "SieveEvaluation", "ThueScanReport", "TupleConfig", "VerifyReport",

@@ -32,7 +32,20 @@ logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse defaults to exit 2 on bad flags; 2 means truncation here."""
+    """argparse defaults to exit 2 on bad flags; 2 means truncation here.
+
+    Each parser also maps its option strings to the actions add_argument
+    returned for them (help included), so config keys can be checked.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.flag_actions: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flag_actions.update(dict.fromkeys(action.option_strings, action))
+        return action
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -316,7 +329,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="diotuple",
                      description="search, verify and bound shifted-product tuples")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    registry: dict[str, argparse.ArgumentParser] = {}
+    registry: dict[str, _Parser] = {}
 
     def sub(name: str, func, **kwargs):
         sp = subs.add_parser(name, **kwargs)
@@ -414,8 +427,7 @@ def _inject_config(argv: list[str], registry: dict) -> list[str]:
         raise InputError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[1:idx] + argv[idx + 2:]
-    sub = registry[argv[0]]
-    option_map = sub._option_string_actions
+    option_map = registry[argv[0]].flag_actions
     extra: list[str] = []
     with open(path) as fh:
         for raw in fh:

@@ -17,7 +17,6 @@ from .errors import InputError
 
 # Natural numbers are plain Python ints (>= 0); exact rationals are
 # fractions.Fraction, which already guarantees the canonical reduced form.
-ExactRational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 

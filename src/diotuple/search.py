@@ -1,10 +1,14 @@
 """Height-bounded search for shifted-product tuples and bipartite pairs.
 
-The kernel: for a fixed multiplier a, every cofactor b with a*b + n = x^k
-comes from an x with x^k ≡ n (mod a), so candidates are enumerated on the
-power side and mapped back, never by scanning b.  Tuple search is
-depth-first extension over intersected candidate sets; an exact
-gap-principle floor cross-checks every deep extension.
+The kernel: every cofactor b of a multiplier a with a*b + n = x^k comes
+from a power x^k, so candidates are enumerated on the power side and
+mapped back, never by scanning b.  A multiplier takes one of three routes:
+within the power range it steps through the residues x^k ≡ n (mod a);
+above it but within the height it reads its cofactors from one divisor
+table of the values x^k - n, built once per (k, n, height); a point query
+above the height tests each x directly.  Tuple search is depth-first
+extension over intersected candidate sets; an exact gap-principle floor
+cross-checks every deep extension.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .core import (BipartitePair, DiophantineTuple, TupleConfig,
                    gap_lower_bound)
 from .errors import InputError, InvariantViolation
 from .exact import integer_kth_root, trial_factor
+from .sieve import primes_up_to
 
 logger = logging.getLogger(__name__)
 
@@ -91,9 +96,70 @@ def kth_power_residues(modulus: int, k: int, target: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _factor_within(m: int, primes: list[int], N: int):
+    """(p, e) pairs of m >= 1 if every prime factor is <= N, else None.
+
+    primes must hold every prime <= N.
+    """
+    factors = []
+    for p in primes:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+    # m is now 1, a prime, or (primes exhausted) a product of primes > N
+    if m > N:
+        return None
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
+@lru_cache(maxsize=16)
+def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
+    """Every a <= N mapped to its sorted cofactors b <= N with a*b + n = x^k.
+
+    Each x <= iroot(N^2 + n, k) gives m = x^k - n, and every factorization
+    m = a*b with a, b <= N is one entry.  A prime factor of m above N fits
+    in neither a nor b, so such m contribute nothing.  Cofactors arrive in
+    increasing x, hence already sorted.
+    """
+    top = N * N + n
+    if top < 1:
+        return {}
+    primes = primes_up_to(N)
+    table: dict[int, list[int]] = {}
+    for x in range(1, integer_kth_root(top, k) + 1):
+        m = x ** k - n
+        if m < 1:
+            continue
+        factors = _factor_within(m, primes, N)
+        if factors is None:
+            continue
+        divisors = [1]
+        for p, e in factors:
+            divisors += [d * p ** i for d in divisors for i in range(1, e + 1)
+                         if d * p ** i <= N]
+        lo = -(-m // N)  # b = m // a <= N
+        for a in divisors:
+            if a >= lo:
+                table.setdefault(a, []).append(m // a)
+    return {a: tuple(bs) for a, bs in table.items()}
+
+
 @lru_cache(maxsize=1 << 15)
 def _candidates_single(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
-    """All b in [1, N] with a*b + n a k-th power of a positive integer."""
+    """All b in [1, N] with a*b + n a k-th power of a positive integer.
+
+    Three routes: a within the power range (a <= xmax) steps through the
+    residues x^k ≡ n (mod a); a above it reads its cofactors from the
+    power-side divisor table when a <= N, and otherwise (a point query from
+    candidates_for) tests each x <= xmax directly.
+    """
     limit = a * N + n
     if limit < 1:
         return ()
@@ -104,7 +170,9 @@ def _candidates_single(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     if a == 1:
         xs = range(1, xmax + 1)
     elif a > xmax:
-        # fewer powers than residue classes: test each x directly
+        # fewer powers than residue classes
+        if a <= N:
+            return _power_side_table(k, n, N).get(a, ())
         target = n % a
         xs = (x for x in range(1, xmax + 1) if pow(x, k, a) == target)
     else:

@@ -227,6 +227,34 @@ def test_config_file_defaults_and_override(tmp_path):
     assert "whatever" in err
 
 
+def test_config_unknown_key(tmp_path):
+    cfg = tmp_path / "typo.conf"
+    cfg.write_text("k = 3\nn = 1\nheight = 10\n")
+    code, out, err = run_cli("search-tuples", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: unknown config key 'height' for search-tuples\n"
+
+
+def test_config_true_false_key(tmp_path):
+    # help is the one valueless flag: true adds it, false leaves it out
+    base = "k = 3\nn = -1\nN = 10\n"
+    cfg = tmp_path / "flag.conf"
+    cfg.write_text(base + "help = false\n")
+    code, out, _ = run_cli("search-tuples", "--config", str(cfg))
+    assert code == 0
+    assert records(out)[-1]["count"] == "3"
+    cfg.write_text(base + "help = TRUE\n")
+    code, out, _ = run_cli("search-tuples", "--config", str(cfg))
+    assert code == 0
+    assert out == run_cli("search-tuples", "--help")[1]
+    cfg.write_text(base + "help = maybe\n")
+    code, out, err = run_cli("search-tuples", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == "error: help takes true/false, got 'maybe'\n"
+
+
 def test_exit_three_on_fabricated_violation(monkeypatch, capsys):
     # no genuine input can trip the at-most-one-large lemma, so splice in
     # a doctored report to pin the exit-code plumbing

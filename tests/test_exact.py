@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import integer_nthroot
 
 from diotuple.errors import InputError
 from diotuple.exact import (
@@ -17,6 +20,20 @@ from diotuple.exact import (
     parse_rational,
     trial_factor,
 )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(0, 2 ** 700), st.integers(2, 12))
+def test_integer_kth_root_matches_sympy(m, k):
+    # both sides of the 512-bit switch between float and bit-length seeds
+    assert integer_kth_root(m, k) == integer_nthroot(m, k)[0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 2 ** 80), st.integers(2, 12), st.integers(-1, 1))
+def test_integer_kth_root_near_powers_matches_sympy(r, k, d):
+    m = r ** k + d
+    assert integer_kth_root(m, k) == integer_nthroot(m, k)[0]
 
 
 def test_integer_kth_root_anchors():

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diotuple.core import TupleConfig
 from diotuple.errors import InputError, InvariantViolation
@@ -16,7 +18,9 @@ from diotuple.search import (
     search_bipartite,
     search_tuples,
 )
-from diotuple.search import _candidates_single, _gap_floor_check
+from diotuple.search import (_candidates_single, _factor_within,
+                             _gap_floor_check)
+from diotuple.sieve import primes_up_to
 
 
 # ---------------------------------------------------------------- reference
@@ -134,14 +138,17 @@ def test_candidates_errors():
 
 
 def test_candidates_single_all_paths_vs_naive():
-    # a == 1, a within the power range, and a beyond it are separate code
-    # paths; all must agree with the definitional loop
+    # a == 1, a within the power range, a beyond it up to the height, and
+    # a beyond the height are separate code paths; all must agree with the
+    # definitional loop
     for a, k, n, N in [
         (1, 3, 1, 300),
         (8, 3, 1, 10_000),  # residue stepping (a <= xmax)
         (72, 3, -5, 10_000),
-        (977, 4, 3, 500),  # direct x scan (a > xmax)
-        (1_562_500, 3, 1, 200),  # far beyond the table cap
+        (300, 3, 1, 400),  # power-side table (xmax < a <= N)
+        (400, 2, -1, 400),
+        (977, 4, 3, 500),  # direct x scan (a > N)
+        (1_562_500, 3, 1, 200),  # far beyond the table
     ]:
         got = list(_candidates_single(a, k, n, N))
         assert got == _cands_naive(a, k, n, N)
@@ -155,6 +162,44 @@ def test_candidates_random_vs_naive():
         n = rng.choice([1, -1, 2, -2, 5, -7, 24])
         N = rng.randint(1, 400)
         assert list(_candidates_single(a, k, n, N)) == _cands_naive(a, k, n, N)
+
+
+def test_candidates_power_side_table_vs_naive():
+    # every multiplier that reads the divisor table (xmax < a <= N)
+    cases = [(k, n, N) for k in range(2, 7)
+             for n in (1, -1, 2, -2, 3, -3, 5, -7, 24, 100)
+             for N in (1, 2, 7, 60, 120)]
+    cases += [(3, 1, 400), (3, -2, 400), (4, 5, 400), (6, -7, 400)]
+    table_path = set()
+    for k, n, N in cases:
+        for a in range(1, N + 1):
+            if a * N + n >= 1 and a > _kth_root_floor(a * N + n, k):
+                table_path.add((a, k, n, N))
+                assert list(_candidates_single(a, k, n, N)) == \
+                    _cands_naive(a, k, n, N), (a, k, n, N)
+    # once N exceeds |n|, k = 2 reaches the table only at a = N, n < 0
+    assert {(a, n, N) for a, k, n, N in table_path if k == 2 and N >= 60} \
+        == {(N, n, N) for N in (60, 120) for n in (-1, -2, -3, -7)}
+    # shifts with x^k <= n have powers that give no m >= 1
+    assert (120, 6, 100, 120) in table_path
+
+
+def test_factor_within_skips_large_primes():
+    # 21^3 - 1 = 2^2 * 5 * 463: 463 fits in neither side at height 100, so
+    # that power contributes nothing; at height 463 it factors completely
+    assert _factor_within(9260, primes_up_to(100), 100) is None
+    assert _factor_within(9260, primes_up_to(463), 463) == [
+        (2, 2), (5, 1), (463, 1)]
+    assert _factor_within(1, primes_up_to(1), 1) == []
+    assert 463 not in _candidates_single(20, 3, 1, 100)
+    assert list(_candidates_single(20, 3, 1, 100)) == _cands_naive(20, 3, 1, 100)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 300), st.integers(2, 6),
+       st.integers(-60, 60).filter(bool), st.integers(1, 300))
+def test_candidates_single_matches_definition(a, k, n, N):
+    assert list(_candidates_single(a, k, n, N)) == _cands_naive(a, k, n, N)
 
 
 def test_candidates_anti_monotone():
@@ -200,6 +245,14 @@ def test_search_matches_brute_force():
             got = _elems(search_tuples(cfg, SearchBudget(height=60)))
             want = _elems(brute_force_tuples(cfg, 60, 2))
             assert got == want, (k, n)
+
+
+def test_search_matches_brute_force_on_the_table_path():
+    # at height 1500 every multiplier above 38 reads the power-side table
+    cfg = TupleConfig(k=3, n=1)
+    got = _elems(search_tuples(cfg, SearchBudget(height=1500)))
+    assert got == _elems(brute_force_tuples(cfg, 1500, 2))
+    assert len(got) > 100
 
 
 def test_search_results_are_maximal():
