@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 
 # Natural numbers are plain Python ints (>= 0); exact rationals are
 # fractions.Fraction, which already guarantees the canonical reduced form.
@@ -145,11 +145,14 @@ def is_prime(n: int) -> bool:
 def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:
     """sign(value - base**expo) for value >= 1, base >= 1, expo > 0.
 
-    Decided at 80-bit precision first; anything inside a 1e-12 relative
-    guard band falls back to exact integer cross-powering when the
-    exponent's denominator is small, and to escalating precision
-    otherwise.  A tie that survives the escalation cap is a genuine
-    equality for the integer inputs we feed this.
+    With expo = p/q in lowest terms, value**q == base**p exactly when
+    base = c**q and value = c**p for one integer c, and that is decided
+    with integer roots.  A small denominator is settled by integer
+    cross-powering; otherwise the logarithms are compared at 80 bits inside
+    a 1e-12 relative guard band, then at doubling precision.  Two unequal
+    integers X = value**q and Y = base**p differ in log by at least
+    1/max(X, Y), so a precision set by the operand sizes always decides;
+    running past it raises InvariantViolation instead of guessing a tie.
     """
     if value < 1 or base < 1:
         raise InputError("comparison defined for positive integers only")
@@ -163,8 +166,19 @@ def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:
         lhs = value ** q
         rhs = base ** p
         return (lhs > rhs) - (lhs < rhs)
+    c = integer_kth_root(base, q) if q > 1 else base
+    # the bit lengths rule out most non-ties before c**p is built
+    if c ** q == base and (p * (c.bit_length() - 1) < value.bit_length()
+                           <= p * c.bit_length()) and c ** p == value:
+        return 0
+    # an undecided comparison leaves |log value - expo*log base| below
+    # scale * 2^(21 - prec); a non-tie keeps it above 2^-log_span / q
+    log_span = max(q * value.bit_length(), p * base.bit_length())
+    needed = (log_span + 22 + q.bit_length()
+              + (p * base.bit_length() + 1).bit_length())
     guard = 1e-12
-    for prec in (80, 160, 320, 640, 1280):
+    prec = 80
+    while True:
         with mp.workprec(prec):
             lhs = mp.log(value)
             rhs = mp.mpf(p) / q * mp.log(base)
@@ -172,4 +186,7 @@ def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:
             scale = max(abs(rhs), mp.mpf(1))
             if abs(diff) / scale > (guard if prec == 80 else mp.mpf(2) ** (20 - prec)):
                 return 1 if diff > 0 else -1
-    return 0
+        if prec > needed:
+            raise InvariantViolation(
+                f"{value} against {base}^({expo}) undecided at {prec} bits")
+        prec *= 2

@@ -219,57 +219,120 @@ class CliqueScanResult:
     violation: bool  # max_size above the bound; must never happen
 
 
-def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
-    """Exact maximum size of a set with every pairwise product shifted into
-    the power classes (a branch-and-bound clique search with greedy-coloring
-    pruning), checked against sqrt(2(p-1)/k) + 4."""
-    p, k, lam = config.p, config.k, config.lam
-    if p > CLIQUE_CAP:
-        raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
-    good = power_classes(p, k) | {0}
+def _clique_graph(config: FieldConfig) -> list[int]:
+    """adj[a] = bitmask of the b != a in [1, p-1] with a*b + lam in the
+    power classes or at 0.
+
+    Built by rows: b is a partner of a iff b lies in a^-1 ((S_k u {0}) - lam),
+    so a row costs one shift per allowed value instead of p - 1 tests.
+    """
+    p, lam = config.p, config.lam
+    shifted = [(s - lam) % p for s in power_classes(p, config.k) | {0}]
     adj = [0] * p
     for a in range(1, p):
-        for b in range(a + 1, p):
-            if (a * b + lam) % p in good:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+        a_inv = pow(a, -1, p)
+        row = 0
+        for s in shifted:
+            row |= 1 << (s * a_inv % p)
+        adj[a] = row & ~(1 | 1 << a)
+    return adj
 
-    best = 0
+
+def _clique_search(adj: list[int], cands: int, best: int, stop: int,
+                   mirror: bool) -> tuple[int, tuple[int, ...]]:
+    """Greedy-coloring branch and bound (Tomita & Kameda's MCQ) over cands.
+
+    Returns the largest clique size above best and the first clique found at
+    that size, or (best, ()) when nothing beats best.  Vertices are colored
+    greedily in increasing order, one bitmask per color class, and branched
+    on from the highest color down, highest vertex first within a class;
+    classes that cannot lift a clique above best are never listed.  The
+    search unwinds as soon as best reaches stop.
+    With mirror, the root drops p - v after branching on v: a -> -a is an
+    automorphism of the field graphs, so the candidate set stays symmetric
+    and a clique through -v mirrors one through v.  That keeps the size and
+    changes which clique is found first.
+    """
+    p = len(adj)
+    # nadj[v] clears v and its neighbors from a mask
+    nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
     witness: tuple[int, ...] = ()
 
-    def coloring(cands: int) -> tuple[list[int], list[int]]:
-        order, limits = [], []
+    def expand(clique: list[int], cands: int):
+        nonlocal best, witness
+        depth = len(clique)
+        if not cands:
+            if depth > best:
+                best = depth
+                witness = tuple(sorted(clique))
+            return
+        classes = []
         color = 0
         rest = cands
         while rest:
             color += 1
+            cls = 0
             avail = rest
             while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~(adj[v] | (1 << v))
-                rest &= ~(1 << v)
-                order.append(v)
-                limits.append(color)
-        return order, limits
+                low = avail & -avail
+                cls |= low
+                avail &= nadj[low.bit_length() - 1]
+            rest ^= cls
+            if depth + color > best:
+                classes.append((color, cls))
+        root = mirror and not depth
+        for color, cls in reversed(classes):
+            while cls:
+                if depth + color <= best:
+                    return
+                v = cls.bit_length() - 1
+                cls ^= 1 << v
+                if not cands >> v & 1:
+                    continue  # the mirror of a root vertex already branched on
+                child = cands & adj[v]
+                if depth + 1 + child.bit_count() > best:
+                    clique.append(v)
+                    expand(clique, child)
+                    clique.pop()
+                    if best >= stop:
+                        return
+                cands ^= 1 << v
+                if root:
+                    cands &= ~(1 << (p - v))
 
-    def expand(clique: list[int], cands: int):
-        nonlocal best, witness
-        if not cands:
-            if len(clique) > best:
-                best = len(clique)
-                witness = tuple(sorted(clique))
-            return
-        order, limits = coloring(cands)
-        for i in range(len(order) - 1, -1, -1):
-            if len(clique) + limits[i] <= best:
-                return
-            v = order[i]
-            clique.append(v)
-            expand(clique, cands & adj[v])
-            clique.pop()
-            cands &= ~(1 << v)
+    expand([], cands)
+    return best, witness
 
-    expand([], (1 << p) - 2)
+
+def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
+    """Exact maximum size of a set with every pairwise product shifted into
+    the power classes, checked against sqrt(2(p-1)/k) + 4.
+
+    The witness is the first maximum clique of a plain greedy-coloring branch
+    and bound that branches from the highest color down and raises its
+    record as it goes.  Two passes of one search reach the same answer:
+
+    - Pass 1 proves the clique number w.  Since (-a)(-b) = ab, a -> -a is
+      an automorphism of the graph, so at the root each branch on v also
+      drops -v: every clique through -v mirrors one through v already
+      searched.
+    - Pass 2 replays the plain order without the mirror from the record
+      w - 1 and stops at the first clique of size w.  A record of w - 1
+      prunes at least what the plain search's smaller records pruned, and
+      never a branch that holds a w-clique, so the first w-clique it reaches
+      is the plain search's witness.
+    """
+    p, k, lam = config.p, config.k, config.lam
+    if p > CLIQUE_CAP:
+        raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
+    adj = _clique_graph(config)
+    everyone = (1 << p) - 2
+    omega, _ = _clique_search(adj, everyone, 0, p, True)
+    best, witness = _clique_search(adj, everyone, omega - 1, omega, False)
+    if best != omega:
+        raise InvariantViolation(
+            f"clique replay found size {best}, not {omega}, at p={p} k={k} "
+            f"lam={lam}")
 
     # exact form of max_size > sqrt(2(p-1)/k) + 4
     violation = best > 4 and (best - 4) ** 2 * k > 2 * (p - 1)

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from sympy import integer_nthroot
 
-from diotuple.errors import InputError
+from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import (
     compare_value_to_power,
     format_natural,
@@ -180,6 +181,38 @@ def test_compare_value_to_power_big_denominator():
     assert compare_value_to_power(32, 2, Fraction(505, 101)) == 0
     assert compare_value_to_power(33, 2, Fraction(505, 101)) == 1
     assert compare_value_to_power(31, 2, Fraction(505, 101)) == -1
+
+
+def test_compare_value_to_power_one_off_a_tie_past_old_cap():
+    # 2^1301 and (2^65)^(1301/65) agree to about 1301 bits
+    expo = Fraction(1301, 65)
+    assert compare_value_to_power(2 ** 1301 + 1, 2 ** 65, expo) == 1
+    assert compare_value_to_power(2 ** 1301 - 1, 2 ** 65, expo) == -1
+    assert compare_value_to_power(2 ** 1301, 2 ** 65, expo) == 0
+    assert compare_value_to_power(3 ** 1301, 3 ** 65, expo) == 0
+    assert compare_value_to_power(3 ** 1301, 3 ** 65 + 1, expo) == -1
+
+
+def test_compare_value_to_power_never_guesses_a_tie(monkeypatch):
+    # logarithms that never separate must end in an error, not in 0
+    monkeypatch.setattr(mp, "log", lambda x: mp.mpf(0))
+    with pytest.raises(InvariantViolation):
+        compare_value_to_power(2 ** 1301 + 1, 2 ** 65, Fraction(1301, 65))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 40), st.integers(65, 160), st.integers(1, 700),
+       st.integers(-2, 2), st.integers(-1, 1))
+def test_compare_value_to_power_near_ties(c, q, p, dv, db):
+    # value c^p + dv against base c^q + db: a tie at dv = db = 0, and
+    # otherwise a gap of about c^-p, decided at about p*log2(c) bits
+    expo = Fraction(p, q)
+    assume(expo.denominator > 64)
+    value = c ** expo.numerator + dv
+    base = c ** expo.denominator + db
+    assume(value >= 1)
+    lhs, rhs = value ** expo.denominator, base ** expo.numerator
+    assert compare_value_to_power(value, base, expo) == (lhs > rhs) - (lhs < rhs)
 
 
 def test_compare_value_to_power_rejects():

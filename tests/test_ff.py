@@ -3,15 +3,18 @@ cliques, character sums."""
 
 import itertools
 import logging
+import math
 import random
 from dataclasses import dataclass
 
 import networkx as nx
 import pytest
 
+from diotuple import ff
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.ff import (
     CharacterSumResult,
+    CliqueScanResult,
     FieldConfig,
     FieldScanResult,
     char_sum,
@@ -20,6 +23,7 @@ from diotuple.ff import (
     ff_scan_clique,
     ff_verify,
     power_classes,
+    _clique_graph,
     primitive_root,
 )
 from diotuple.sieve import primes_up_to
@@ -272,18 +276,127 @@ def test_ff_scan_clique_matches_networkx():
     for p in primes_up_to(60):
         if p < 5:
             continue
-        for k in (2, 3):
+        for k in (2, 3, 4, 6):
             if (p - 1) % k:
                 continue
-            cfg = FieldConfig(p, k, 1)
             good = power_classes(p, k) | {0}
-            g = nx.Graph()
-            g.add_nodes_from(range(1, p))
-            g.add_edges_from(
-                (a, b) for a in range(1, p) for b in range(a + 1, p)
-                if (a * b + 1) % p in good)
-            want = max(len(c) for c in nx.find_cliques(g))
-            assert ff_scan_clique(cfg).max_size == want, (p, k)
+            for lam in (1, 2):
+                g = nx.Graph()
+                g.add_nodes_from(range(1, p))
+                g.add_edges_from(
+                    (a, b) for a in range(1, p) for b in range(a + 1, p)
+                    if (a * b + lam) % p in good)
+                want = max(len(c) for c in nx.find_cliques(g))
+                got = ff_scan_clique(FieldConfig(p, k, lam)).max_size
+                assert got == want, (p, k, lam)
+
+
+def test_clique_graph_matches_pairwise_definition():
+    for p in primes_up_to(60):
+        for k in range(2, p):
+            if (p - 1) % k:
+                continue
+            good = power_classes(p, k) | {0}
+            for lam in (1, 2, p - 1):
+                if lam > p - 1:
+                    continue
+                adj = _clique_graph(FieldConfig(p, k, lam))
+                assert adj[0] == 0
+                for a in range(1, p):
+                    want = sum(1 << b for b in range(1, p)
+                               if b != a and (a * b + lam) % p in good)
+                    assert adj[a] == want, (p, k, lam, a)
+                    # a -> p - a maps every edge to an edge: the root of
+                    # the clique search relies on it
+                    mirrored = sum(1 << (p - b) for b in range(1, p)
+                                   if adj[a] >> b & 1)
+                    assert adj[p - a] == mirrored, (p, k, lam, a)
+
+
+def reference_scan_clique(config):
+    """The single-pass search: pairwise-built graph, greedy coloring of
+    every candidate, and a record raised as cliques are found.  Test-only
+    oracle for the two-pass search."""
+    p, k, lam = config.p, config.k, config.lam
+    good = power_classes(p, k) | {0}
+    adj = [0] * p
+    for a in range(1, p):
+        for b in range(a + 1, p):
+            if (a * b + lam) % p in good:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+
+    best = 0
+    witness = ()
+
+    def coloring(cands):
+        order, limits = [], []
+        color = 0
+        rest = cands
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~(adj[v] | (1 << v))
+                rest &= ~(1 << v)
+                order.append(v)
+                limits.append(color)
+        return order, limits
+
+    def expand(clique, cands):
+        nonlocal best, witness
+        if not cands:
+            if len(clique) > best:
+                best = len(clique)
+                witness = tuple(sorted(clique))
+            return
+        order, limits = coloring(cands)
+        for i in range(len(order) - 1, -1, -1):
+            if len(clique) + limits[i] <= best:
+                return
+            v = order[i]
+            clique.append(v)
+            expand(clique, cands & adj[v])
+            clique.pop()
+            cands &= ~(1 << v)
+
+    expand([], (1 << p) - 2)
+    violation = best > 4 and (best - 4) ** 2 * k > 2 * (p - 1)
+    return CliqueScanResult(p, k, lam, best, witness,
+                            math.sqrt(2 * (p - 1) / k) + 4, violation)
+
+
+def test_ff_scan_clique_matches_single_pass_search():
+    for p in primes_up_to(47):
+        for k in range(2, p):
+            if (p - 1) % k:
+                continue
+            for lam in range(1, p):
+                cfg = FieldConfig(p, k, lam)
+                assert ff_scan_clique(cfg) == reference_scan_clique(cfg), (
+                    p, k, lam)
+
+
+@pytest.mark.parametrize("p", [97, 101, 193, 197])
+@pytest.mark.parametrize("lam", [1, 2])
+def test_ff_scan_clique_matches_single_pass_search_large(p, lam):
+    # at (197, 2, 2) the single-pass search sets its final record late, at
+    # its 1357th node, after records of smaller cliques
+    cfg = FieldConfig(p, 2, lam)
+    assert ff_scan_clique(cfg) == reference_scan_clique(cfg)
+
+
+def test_ff_scan_clique_replay_must_reach_the_proved_size(monkeypatch):
+    search = ff._clique_search
+
+    def overstated(adj, cands, best, stop, mirror):
+        size, witness = search(adj, cands, best, stop, mirror)
+        return (size + 1, witness) if mirror else (size, witness)
+
+    monkeypatch.setattr(ff, "_clique_search", overstated)
+    with pytest.raises(InvariantViolation):
+        ff_scan_clique(FieldConfig(13, 3, 1))
 
 
 def test_ff_scan_clique_cap():

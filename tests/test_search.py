@@ -6,7 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.residue_ntheory import nthroot_mod
 
+from diotuple import search
 from diotuple.core import TupleConfig
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import is_perfect_kth_power
@@ -117,6 +119,49 @@ def test_kth_power_residues_composite_anchor():
     assert sorted(kth_power_residues(9, 3, 1)) == [1, 4, 7]
     assert sorted(kth_power_residues(625, 2, 4)) == sorted(
         x for x in range(625) if pow(x, 2, 625) == 4)
+
+
+@pytest.fixture
+def small_scan_limit(monkeypatch):
+    """Route moduli above 50 through the CRT split, with a cold cache."""
+    kth_power_residues.cache_clear()
+    monkeypatch.setattr(search, "SCAN_LIMIT", 50)
+    yield
+    kth_power_residues.cache_clear()
+
+
+def test_kth_power_residues_crt_path(small_scan_limit, monkeypatch):
+    crt_calls = 0
+    crt_pair = search._crt_pair
+
+    def counting_crt_pair(*args):
+        nonlocal crt_calls
+        crt_calls += 1
+        return crt_pair(*args)
+
+    monkeypatch.setattr(search, "_crt_pair", counting_crt_pair)
+    rng = random.Random(11)
+    # two or three coprime prime-power factors of at most 50 each
+    moduli = [66, 72, 77, 100, 105, 221, 240, 360, 441, 735, 864, 900, 2021]
+    for m in moduli:
+        for k in range(2, 7):
+            if m <= 120:
+                targets = range(m)
+            else:
+                targets = ([0, 1, -1, m - 1]
+                           + [pow(rng.randrange(m), k, m) for _ in range(20)]
+                           + [rng.randrange(-m, m) for _ in range(10)])
+            for t in targets:
+                got = kth_power_residues(m, k, t)
+                want = tuple(x for x in range(m) if pow(x, k, m) == t % m)
+                assert got == want, (m, k, t)
+                assert list(got) == nthroot_mod(t % m, k, m, all_roots=True)
+    assert crt_calls
+    # a prime-power factor above the limit falls back to the full scan
+    for m in (64, 106):
+        for t in range(m):
+            assert kth_power_residues(m, 3, t) == tuple(
+                x for x in range(m) if pow(x, 3, m) == t)
 
 
 # --------------------------------------------------------------- candidates
