@@ -16,6 +16,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .errors import InputError
+from .exact import integer_kth_root, is_perfect_kth_power
 
 logger = logging.getLogger(__name__)
 
@@ -229,7 +230,14 @@ def bound_reports(n: int, k: int, L=None) -> list[BoundReport]:
 
 @dataclass(frozen=True)
 class ThueScanReport:
-    """Primitive solutions of |a x^k - b y^k| <= c within a box."""
+    """Primitive solutions of |a x^k - b y^k| <= c within a box.
+
+    thue_scan splits the box at x0, the least x with
+    a^(k-1) b x^(k(k-2)) > (2c)^k: below it each x tries every y its two
+    integer root bounds allow, from it on only the convergents y/x of
+    (a/b)^(1/k) are tried, since by Legendre's theorem no other primitive
+    solution lies there.  The report does not depend on the split.
+    """
 
     a: int
     b: int
@@ -243,13 +251,61 @@ class ThueScanReport:
     lemma_violation: bool  # >= 2 large primitives; must never fire
 
 
+def _root_convergents(a: int, b: int, k: int, X: int) -> list[tuple[int, int]]:
+    """The convergents (p, q) of (a/b)^(1/k) in order, up to the first with
+    p > X or q > X (exclusive), in exact integer arithmetic.
+
+    If a/g and b/g (g = gcd(a, b)) are k-th powers u^k and v^k, the root is
+    u/v and its finite expansion is Euclid's.  Otherwise the root is
+    irrational and lies strictly inside (r/2^P, (r+1)/2^P) with
+    r = floor(2^P (a/b)^(1/k)); while both ends have the same partial
+    quotient the root has it too, and P doubles until a convergent passes X.
+    """
+    g = math.gcd(a, b)
+    u = is_perfect_kth_power(a // g, k)
+    v = is_perfect_kth_power(b // g, k)
+    P = 2 * X.bit_length() + 8
+    while True:
+        if u and v:
+            n1, d1, n2, d2 = u, v, u, v
+        else:
+            r = integer_kth_root((a << k * P) // b, k)
+            n1, d1, n2, d2 = r, 1 << P, r + 1, 1 << P
+        out = []
+        p0, q0, p1, q1 = 0, 1, 1, 0  # convergents n-2 and n-1
+        while d1 and d2:
+            t = n1 // d1
+            if t != n2 // d2:
+                break
+            p0, q0, p1, q1 = p1, q1, t * p1 + p0, t * q1 + q0
+            if p1 > X or q1 > X:  # p and q never fall from here on
+                return out
+            out.append((p1, q1))
+            n1, d1, n2, d2 = d1, n1 - t * d1, d2, n2 - t * d2
+        if u and v:
+            return out
+        P *= 2
+
+
 def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
     """Enumerate primitive (x, y) in [1, X]^2 with |a x^k - b y^k| <= c.
 
-    The matching y values for increasing x are nondecreasing, so a single
-    pointer walk over precomputed powers makes the scan linear in X.
-    Solutions are split by the Thue threshold beta_k * c^alpha_k (compared
-    exactly); at most one primitive solution may sit above it.
+    With theta = (a/b)^(1/k), a x^k - b y^k = b (theta x - y) times a sum of
+    k nonnegative terms, one of them (theta x)^(k-1), so a solution has
+    |theta - y/x| <= c / (b theta^(k-1) x^k).  From the least x0 with
+    a^(k-1) b x0^(k(k-2)) > (2c)^k (an integer test, solved with one
+    integer root) this is below 1/(2x^2), and by Legendre's theorem a
+    primitive y/x is then a convergent of theta.  So the scan has two zones:
+
+    - x < x0: every y between the two integer k-th roots bounding
+      b y^k within [a x^k - c, a x^k + c], clamped to [1, X];
+    - x >= x0: each exact convergent y/x of theta with x <= X and
+      1 <= y <= X, tested directly.
+
+    The cost is O(x0) for the first zone and O(log X) for the second, all
+    in exact integer arithmetic.  Solutions are split by the Thue threshold
+    beta_k * c^alpha_k (compared exactly); at most one primitive solution
+    may sit above it.
     """
     if a < 1 or b < 1:
         raise InputError("coefficients must be positive")
@@ -258,30 +314,20 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
     if X < 1:
         raise InputError(f"box must satisfy X >= 1, got {X}")
     alpha, beta = evertse_constants(k)
-    powers = [y ** k for y in range(X + 1)]
+    x0 = integer_kth_root((2 * c) ** k // (a ** (k - 1) * b), k * (k - 2)) + 1
     sols = []
-    floor = 1  # largest y with b*y^k <= a*x^k, clamped to [1, X]
     gcd = math.gcd
-    for x in range(1, X + 1):
-        axk = a * powers[x]
-        lo, hi = axk - c, axk + c
-        while floor < X and b * powers[floor + 1] <= axk:
-            floor += 1
-        y = floor
-        while y >= 1:
-            v = b * powers[y]
-            if v < lo:
-                break
-            if v <= hi and gcd(x, y) == 1:
-                sols.append((x, y))
-            y -= 1
-        y = floor + 1
-        while y <= X:
-            if b * powers[y] > hi:
-                break
+    for x in range(1, min(x0 - 1, X) + 1):
+        axk = a * x ** k
+        # least y with b y^k >= axk - c, largest with b y^k <= axk + c
+        y_lo = integer_kth_root(max(-((c - axk) // b) - 1, 0), k) + 1
+        y_hi = min(integer_kth_root((axk + c) // b, k), X)
+        for y in range(y_lo, y_hi + 1):
             if gcd(x, y) == 1:
                 sols.append((x, y))
-            y += 1
+    for y, x in _root_convergents(a, b, k, X):
+        if x >= x0 and y >= 1 and abs(a * x ** k - b * y ** k) <= c:
+            sols.append((x, y))
     sols.sort()
     # exact threshold test: M > beta * c^alpha  <=>  M^q > beta^q * c^p
     p, q = alpha.numerator, alpha.denominator

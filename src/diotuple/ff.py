@@ -111,6 +111,25 @@ class FieldScanResult:
     violations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
+def _partner_rows(config: FieldConfig) -> list[int]:
+    """rows[a] = bitmask of the b in [1, p-1] with a*b + lam in the power
+    classes or at 0, for a in [1, p-1]; bit a is kept and rows[0] = 0.
+
+    Built by rows: b is a partner of a iff b lies in a^-1 ((S_k u {0}) - lam),
+    so a row costs one shift per allowed value instead of p - 1 tests.
+    """
+    p, lam = config.p, config.lam
+    shifted = [(s - lam) % p for s in power_classes(p, config.k) | {0}]
+    rows = [0] * p
+    for a in range(1, p):
+        a_inv = pow(a, -1, p)
+        row = 0
+        for s in shifted:
+            row |= 1 << (s * a_inv % p)
+        rows[a] = row & ~1
+    return rows
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -140,16 +159,9 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
     if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
         raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
     p, k, lam = config.p, config.k, config.lam
-    good = power_classes(p, k) | {0}
-    # comp[a] = bitmask of partners b with a*b + lam in the allowed classes
-    comp = [0] * p
+    comp = _partner_rows(config)
     negbit = [0] * p  # a -> the bit at -lam / a mod p
     for a in range(1, p):
-        row = 0
-        for b in range(1, p):
-            if (a * b + lam) % p in good:
-                row |= 1 << b
-        comp[a] = row
         negbit[a] = 1 << (-lam * pow(a, -1, p) % p)
     class_size = config.class_size
 
@@ -221,20 +233,10 @@ class CliqueScanResult:
 
 def _clique_graph(config: FieldConfig) -> list[int]:
     """adj[a] = bitmask of the b != a in [1, p-1] with a*b + lam in the
-    power classes or at 0.
-
-    Built by rows: b is a partner of a iff b lies in a^-1 ((S_k u {0}) - lam),
-    so a row costs one shift per allowed value instead of p - 1 tests.
-    """
-    p, lam = config.p, config.lam
-    shifted = [(s - lam) % p for s in power_classes(p, config.k) | {0}]
-    adj = [0] * p
-    for a in range(1, p):
-        a_inv = pow(a, -1, p)
-        row = 0
-        for s in shifted:
-            row |= 1 << (s * a_inv % p)
-        adj[a] = row & ~(1 | 1 << a)
+    power classes or at 0: the partner rows without their diagonal."""
+    adj = _partner_rows(config)
+    for a in range(1, config.p):
+        adj[a] &= ~(1 << a)
     return adj
 
 

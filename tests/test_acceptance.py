@@ -167,7 +167,7 @@ def test_criterion_9_thue_large_solutions():
     with criterion(
             9, "at most one large primitive solution per box "
             "(a,b<=10, k in {3,4,5}, c<=20, X=1e4)",
-            "exact threshold comparison, zero double-larges", 300.0):
+            "exact threshold comparison, zero double-larges", 30.0):
         for k in (3, 4, 5):
             for a in range(1, 11):
                 for b in range(1, 11):

@@ -5,9 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Rational, continued_fraction_convergents
+from sympy import continued_fraction_iterator, root
 
 from diotuple.bounds import (
     BoundReport,
+    ThueScanReport,
+    _root_convergents,
     bipartite_side_bound,
     bound_reports,
     derive_cubic_threshold,
@@ -227,6 +233,53 @@ def _thue_naive(a, b, k, c, X):
     return out
 
 
+def reference_thue_scan(a, b, k, c, X):
+    """The O(X) pointer walk over precomputed powers, kept as the oracle.
+
+    For increasing x the matching y values are nondecreasing, so one pointer
+    to the largest y with b y^k <= a x^k serves the whole box.
+    """
+    alpha, beta = evertse_constants(k)
+    powers = [y ** k for y in range(X + 1)]
+    sols = []
+    floor = 1  # largest y with b*y^k <= a*x^k, clamped to [1, X]
+    for x in range(1, X + 1):
+        axk = a * powers[x]
+        lo, hi = axk - c, axk + c
+        while floor < X and b * powers[floor + 1] <= axk:
+            floor += 1
+        y = floor
+        while y >= 1:
+            v = b * powers[y]
+            if v < lo:
+                break
+            if v <= hi and math.gcd(x, y) == 1:
+                sols.append((x, y))
+            y -= 1
+        y = floor + 1
+        while y <= X:
+            if b * powers[y] > hi:
+                break
+            if math.gcd(x, y) == 1:
+                sols.append((x, y))
+            y += 1
+    sols.sort()
+    p, q = alpha.numerator, alpha.denominator
+    rhs = beta ** q * c ** p
+    large = tuple((x, y) for x, y in sols
+                  if Fraction(max(a * x ** k, b * y ** k)) ** q > rhs)
+    return ThueScanReport(a, b, k, c, X, tuple(sols), large, alpha, beta,
+                          len(large) >= 2)
+
+
+def _x0(a, b, k, c):
+    """Least x with a^(k-1) b x^(k(k-2)) > (2c)^k, by counting up."""
+    x = 1
+    while a ** (k - 1) * b * x ** (k * (k - 2)) <= (2 * c) ** k:
+        x += 1
+    return x
+
+
 def test_thue_scan_frozen():
     rep = thue_scan(2, 1, 3, 1, 10_000)
     assert rep.solutions == ((1, 1),)
@@ -276,3 +329,80 @@ def test_thue_scan_errors():
         thue_scan(1, 1, 3, -1, 10)
     with pytest.raises(InputError):
         thue_scan(1, 1, 3, 1, 0)
+
+
+def test_thue_scan_criterion_9_slice_matches_reference():
+    # (1,5,4,11), (4,1,4,12) and (5,1,4,11) have a solution at x0 - 2 that
+    # is no convergent, (1,6,3,18) and (2,1,3,3) one at x0 itself
+    for k in (3, 4, 5):
+        for a, b in ((1, 1), (1, 5), (1, 6), (2, 1), (4, 1), (5, 1), (7, 3),
+                     (10, 9)):
+            for c in (0, 3, 11, 12, 18, 20):
+                box = (a, b, k, c, 10**4)
+                assert thue_scan(*box) == reference_thue_scan(*box), box
+
+
+def test_thue_scan_convergent_only_solution():
+    # x0 = 6 here, and 257/467 is a convergent of 6^(-1/3): 467^3 - 6*257^3 = 5
+    rep = thue_scan(1, 6, 3, 5, 10**4)
+    assert _x0(1, 6, 3, 5) == 6
+    assert rep.solutions == ((1, 1), (2, 1), (467, 257))
+    assert rep.large == ()
+    assert rep == reference_thue_scan(1, 6, 3, 5, 10**4)
+    # the convergent denominators around the box edge are 467 and 237385
+    for X in (466, 467, 468, 5000):
+        assert thue_scan(1, 6, 3, 5, X) == reference_thue_scan(1, 6, 3, 5, X)
+    # (10^9 + 1)^(-1/3) = [0; 1000, about 3*10^6, ...] sits so close to 1/1000
+    # that the first precision cannot settle the quotient 1000
+    rep = thue_scan(1, 10**9 + 1, 3, 1, 2000)
+    assert rep.solutions == ((1000, 1),)
+    assert rep == reference_thue_scan(1, 10**9 + 1, 3, 1, 2000)
+
+
+def test_thue_scan_c_zero():
+    for k in (3, 4, 5):
+        for a in range(1, 7):
+            for b in range(1, 7):
+                box = (a, b, k, 0, 300)
+                assert thue_scan(*box) == reference_thue_scan(*box), box
+
+
+def test_thue_scan_rational_root():
+    # theta = 2 (8/1 at k = 3, 48/3 at k = 4), 2/3 (48/243 at k = 4) and
+    # 3/2 (81/16 at k = 4): the expansion is finite and ends at theta
+    for a, b, k in ((8, 1, 3), (48, 3, 4), (48, 243, 4), (81, 16, 4),
+                    (2 * 125, 2 * 64, 3)):
+        for c in (0, 1, 2, 7, 40):
+            for X in (1, 2, 3, 5, 64, 700):
+                box = (a, b, k, c, X)
+                assert thue_scan(*box) == reference_thue_scan(*box), box
+    assert thue_scan(81, 16, 4, 0, 10).solutions == ((2, 3),)
+
+
+def test_thue_scan_box_below_x0():
+    # x0 = 40 for (1, 1, 3, 20) and 86 for (1, 7, 3, 50)
+    for a, b, k, c in ((1, 1, 3, 20), (1, 7, 3, 50), (2, 3, 4, 60)):
+        x0 = _x0(a, b, k, c)
+        for X in (1, 2, x0 - 2, x0 - 1, x0, x0 + 1):
+            box = (a, b, k, c, X)
+            assert thue_scan(*box) == reference_thue_scan(*box), box
+
+
+def test_root_convergents_against_sympy():
+    for a, b, k, X in ((1, 6, 3, 10**4), (2, 1, 3, 10**30), (5, 3, 5, 10**12),
+                       (1, 10**9 + 1, 3, 10**7), (48, 243, 4, 10**6)):
+        got = _root_convergents(a, b, k, X)
+        want = []
+        for cv in continued_fraction_convergents(
+                continued_fraction_iterator(root(Rational(a, b), k))):
+            if cv.p > X or cv.q > X:
+                break
+            want.append((int(cv.p), int(cv.q)))
+        assert got == want, (a, b, k)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(3, 7),
+       st.integers(0, 200), st.integers(1, 2000))
+def test_thue_scan_property_matches_reference(a, b, k, c, X):
+    assert thue_scan(a, b, k, c, X) == reference_thue_scan(a, b, k, c, X)

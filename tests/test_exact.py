@@ -176,11 +176,26 @@ def test_compare_value_to_power_exact_path():
     assert compare_value_to_power(2, 1, Fraction(5)) == 1
 
 
-def test_compare_value_to_power_big_denominator():
-    # q > 64 exercises the escalating-precision branch; 2^(505/101) == 32
-    assert compare_value_to_power(32, 2, Fraction(505, 101)) == 0
-    assert compare_value_to_power(33, 2, Fraction(505, 101)) == 1
-    assert compare_value_to_power(31, 2, Fraction(505, 101)) == -1
+def test_compare_value_to_power_big_denominator(monkeypatch):
+    # 506/101 is in lowest terms, so q = 101 > 64 skips cross-powering:
+    # (2^101)^(506/101) == 2^506 is an exact tie, and 2^506 +- 1 differ from
+    # it by 2^-506 in relative terms, which only the escalating loop settles
+    base, expo = 2 ** 101, Fraction(506, 101)
+    precs = []
+    log = mp.log
+
+    def spy(x):
+        precs.append(mp.prec)
+        return log(x)
+
+    monkeypatch.setattr(mp, "log", spy)
+    assert compare_value_to_power(2 ** 506, base, expo) == 0
+    assert precs == []  # the tie is decided by integer roots
+    assert compare_value_to_power(2 ** 506 + 1, base, expo) == 1
+    assert max(precs) > 506
+    precs.clear()
+    assert compare_value_to_power(2 ** 506 - 1, base, expo) == -1
+    assert max(precs) > 506
 
 
 def test_compare_value_to_power_one_off_a_tie_past_old_cap():
