@@ -20,6 +20,9 @@ from .exact import integer_kth_root, is_perfect_kth_power
 
 logger = logging.getLogger(__name__)
 
+# thue_scan refuses a small-x zone wider than this (about 5 s of scanning)
+THUE_ZONE_CAP = 10 ** 6
+
 
 class TableConstants(NamedTuple):
     """Per-degree constants (r, s, t, u) for the element-count tables."""
@@ -303,9 +306,11 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
       1 <= y <= X, tested directly.
 
     The cost is O(x0) for the first zone and O(log X) for the second, all
-    in exact integer arithmetic.  Solutions are split by the Thue threshold
-    beta_k * c^alpha_k (compared exactly); at most one primitive solution
-    may sit above it.
+    in exact integer arithmetic.  x0 grows like (2c)^(1/(k-2)), linearly in
+    c at k = 3, so a first zone wider than THUE_ZONE_CAP is rejected with
+    InputError before any scanning.  Solutions are split by the Thue
+    threshold beta_k * c^alpha_k (compared exactly); at most one primitive
+    solution may sit above it.
     """
     if a < 1 or b < 1:
         raise InputError("coefficients must be positive")
@@ -315,9 +320,14 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
         raise InputError(f"box must satisfy X >= 1, got {X}")
     alpha, beta = evertse_constants(k)
     x0 = integer_kth_root((2 * c) ** k // (a ** (k - 1) * b), k * (k - 2)) + 1
+    width = min(x0 - 1, X)
+    if width > THUE_ZONE_CAP:
+        raise InputError(
+            f"the small-x zone of this scan spans {width} values of x, above "
+            f"the cap of {THUE_ZONE_CAP}; lower c or X")
     sols = []
     gcd = math.gcd
-    for x in range(1, min(x0 - 1, X) + 1):
+    for x in range(1, width + 1):
         axk = a * x ** k
         # least y with b y^k >= axk - c, largest with b y^k <= axk + c
         y_lo = integer_kth_root(max(-((c - axk) // b) - 1, 0), k) + 1

@@ -4,11 +4,15 @@ The kernel: every cofactor b of a multiplier a with a*b + n = x^k comes
 from a power x^k, so candidates are enumerated on the power side and
 mapped back, never by scanning b.  A multiplier takes one of three routes:
 within the power range it steps through the residues x^k ≡ n (mod a);
-above it but within the height it reads its cofactors from one divisor
+above it but below the height it reads its cofactors from one divisor
 table of the values x^k - n, built once per (k, n, height); a point query
-above the height tests each x directly.  Tuple search is depth-first
-extension over intersected candidate sets; an exact gap-principle floor
-cross-checks every deep extension.
+at or above the height tests each x directly.  Tuple search is
+depth-first extension over intersected candidate sets; an exact
+gap-principle floor cross-checks every deep extension.  Bipartite search
+enumerates closed partner sets: by the symmetry of a*b + n = x^k, every
+A-side-maximal pair (A, B) has B an intersection of neighborhoods and A
+the common neighborhood of B, so the pairs are read off the closed sets
+without growing A one element at a time.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ class SearchBudget:
     height: largest element considered (N); min_size: smallest tuple (or
     A-side) emitted; min_partner: smallest B-side emitted (bipartite only);
     max_results: output cap, exceeding it sets the truncation flag;
-    parallelism: worker hint, never affects output bytes.
+    parallelism: worker hint for search_tuples (search_bipartite runs in
+    one thread), never affects output bytes.
     """
 
     height: int
@@ -157,8 +162,10 @@ def _candidates_single(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
 
     Three routes: a within the power range (a <= xmax) steps through the
     residues x^k ≡ n (mod a); a above it reads its cofactors from the
-    power-side divisor table when a <= N, and otherwise (a point query from
-    candidates_for) tests each x <= xmax directly.
+    power-side divisor table when a < N, and otherwise tests each x <= xmax
+    directly.  That point query serves a = N, which at k = 2 is often the
+    only multiplier above its power range and would not repay a table
+    build, and a > N from candidates_for.
     """
     limit = a * N + n
     if limit < 1:
@@ -171,7 +178,7 @@ def _candidates_single(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
         xs = range(1, xmax + 1)
     elif a > xmax:
         # fewer powers than residue classes
-        if a <= N:
+        if a < N:
             return _power_side_table(k, n, N).get(a, ())
         target = n % a
         xs = (x for x in range(1, xmax + 1) if pow(x, k, a) == target)
@@ -230,6 +237,13 @@ def _gap_floor_check(chain: list[int], ext: list[int], config: TupleConfig):
                 f"the gap floor {bound} (k={config.k}, n={config.n})")
 
 
+def _outcome(found, max_results: int, wrap) -> SearchOutcome:
+    """Sort the raw results, keep the first max_results, wrap each one."""
+    found = sorted(found)
+    return SearchOutcome(tuple(map(wrap, found[:max_results])),
+                         len(found) > max_results)
+
+
 def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
     """All maximal tuples with elements <= height, smallest first.
 
@@ -259,11 +273,8 @@ def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
             chunks = list(pool.map(per_leading, range(1, N + 1)))
     else:
         chunks = [per_leading(c1) for c1 in range(1, N + 1)]
-    found = sorted(t for chunk in chunks for t in chunk)
-    truncated = len(found) > budget.max_results
-    found = found[:budget.max_results]
-    return SearchOutcome(
-        tuple(DiophantineTuple(config, t) for t in found), truncated)
+    return _outcome((t for chunk in chunks for t in chunk), budget.max_results,
+                    lambda t: DiophantineTuple(config, t))
 
 
 def brute_force_tuples(config: TupleConfig, N: int, min_size: int) -> SearchOutcome:
@@ -314,53 +325,41 @@ def brute_force_tuples(config: TupleConfig, N: int, min_size: int) -> SearchOutc
 def search_bipartite(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
     """All A-side-maximal bipartite pairs with elements <= height.
 
-    The enumerated side grows one element at a time; its partner side is
-    always the full candidate set.  A pair is emitted when no further
-    element keeps the partner side at min_partner, then oriented
-    canonically and deduplicated.
+    A pair (A, B) is emitted when B = N(A), the common partners of A, has
+    at least min_partner elements, |A| >= min_size, and no a' outside A
+    keeps min_partner partners in B; it is then oriented canonically and
+    deduplicated.  The relation a*b + n = x^k is symmetric, so b is in N(a)
+    iff a is in N(b); an A that no a' can join is therefore closed,
+    A = ∩_{b in B} N(b), and B is an intersection of neighborhoods.  The
+    search enumerates those closed B sides directly: a worklist seeded with
+    every N(a) of at least min_partner elements, each B side intersected
+    with N(a') for every a' reachable from it.  The cost is polynomial per
+    closed B side instead of exponential in the largest neighborhood.
     """
     N, k, n = budget.height, config.k, config.n
     min_a, min_b = budget.min_size, budget.min_partner
 
-    def partners(v: int) -> set[int]:
-        return set(_candidates_single(v, k, n, N))
-
-    def extend(side: list[int], partner: set[int], sink: list):
-        viable = {}
-        reachable = set().union(*(partners(b) for b in partner)) - set(side)
-        for ap in sorted(reachable):
-            shrunk = partner & partners(ap)
+    # row v is N(v); every neighborhood lies in [1, N], so the rows cover
+    # every element a B side can reach
+    partners = [frozenset()] + [frozenset(_candidates_single(v, k, n, N))
+                                for v in range(1, N + 1)]
+    work = {B for B in partners if len(B) >= min_b}
+    seen = set(work)
+    found = set()
+    while work:
+        B = work.pop()
+        rows = [partners[b] for b in B]
+        A = frozenset.intersection(*rows)
+        maximal = True
+        for ap in frozenset.union(*rows) - A:
+            shrunk = B & partners[ap]
             if len(shrunk) >= min_b:
-                viable[ap] = shrunk
-        if not viable:
-            if len(side) >= min_a and len(partner) >= min_b:
-                sink.append((tuple(side), tuple(sorted(partner))))
-            return
-        for ap, shrunk in viable.items():
-            if ap > side[-1]:
-                extend(side + [ap], shrunk, sink)
-
-    def per_leading(a1: int) -> list:
-        first = partners(a1)
-        if len(first) < min_b:
-            return []
-        sink = []
-        extend([a1], first, sink)
-        return sink
-
-    if budget.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=budget.parallelism) as pool:
-            chunks = list(pool.map(per_leading, range(1, N + 1)))
-    else:
-        chunks = [per_leading(a1) for a1 in range(1, N + 1)]
-    oriented = set()
-    for chunk in chunks:
-        for A, B in chunk:
-            if (min(B), B) < (min(A), A):
-                A, B = B, A
-            oriented.add((A, B))
-    found = sorted(oriented)
-    truncated = len(found) > budget.max_results
-    found = found[:budget.max_results]
-    return SearchOutcome(
-        tuple(BipartitePair(config, A, B) for A, B in found), truncated)
+                maximal = False
+                if shrunk not in seen:
+                    seen.add(shrunk)
+                    work.add(shrunk)
+        if maximal and len(A) >= min_a:
+            # canonical orientation: the side that sorts first is A
+            found.add(tuple(sorted((tuple(sorted(A)), tuple(sorted(B))))))
+    return _outcome(found, budget.max_results,
+                    lambda AB: BipartitePair(config, *AB))

@@ -331,6 +331,22 @@ def test_thue_scan_errors():
         thue_scan(1, 1, 3, 1, 0)
 
 
+def test_thue_scan_small_zone_cap(monkeypatch, capsys):
+    # with a = b = 1 and k = 3, x0 = 2c + 1, so the zone spans min(2c, X)
+    import diotuple.bounds as bounds_mod
+    import diotuple.cli as cli
+
+    monkeypatch.setattr(bounds_mod, "THUE_ZONE_CAP", 40)
+    for box in ((1, 1, 3, 20, 10**4), (1, 1, 3, 10**6, 40)):
+        assert thue_scan(*box) == reference_thue_scan(*box), box
+    for c, X in ((21, 10**4), (10**6, 41)):
+        with pytest.raises(InputError, match=r"spans 4[12] .* cap of 40;"):
+            thue_scan(1, 1, 3, c, X)
+    assert cli.main(["thue-scan", "--a", "1", "--b", "1", "--k", "3",
+                     "--c", "21", "--X", "1000000000"]) == 1
+    assert "cap of 40" in capsys.readouterr().err
+
+
 def test_thue_scan_criterion_9_slice_matches_reference():
     # (1,5,4,11), (4,1,4,12) and (5,1,4,11) have a solution at x0 - 2 that
     # is no convergent, (1,6,3,18) and (2,1,3,3) one at x0 itself

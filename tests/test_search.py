@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from sympy.ntheory.residue_ntheory import nthroot_mod
 
 from diotuple import search
-from diotuple.core import TupleConfig
+from diotuple.core import BipartitePair, TupleConfig, verify_bipartite
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import is_perfect_kth_power
 from diotuple.search import (
     SearchBudget,
+    SearchOutcome,
     brute_force_tuples,
     candidates_for,
     kth_power_residues,
@@ -100,6 +102,58 @@ def bipartite_oracle(k, n, N, minA, minB, capA=6):
             A, B = B, A
         out.add((A, B))
     return sorted(out)
+
+
+def reference_search_bipartite(config, budget):
+    """The depth-first A-side growth that search_bipartite replaced.
+
+    The enumerated side grows one element at a time; its partner side is
+    always the full candidate set.  A pair is emitted when no further
+    element keeps the partner side at min_partner, then oriented
+    canonically and deduplicated.  Exponential in the largest
+    neighborhood, so only for small heights.
+    """
+    N, k, n = budget.height, config.k, config.n
+    min_a, min_b = budget.min_size, budget.min_partner
+
+    def partners(v: int) -> set[int]:
+        return set(_candidates_single(v, k, n, N))
+
+    def extend(side: list[int], partner: set[int], sink: list):
+        viable = {}
+        reachable = set().union(*(partners(b) for b in partner)) - set(side)
+        for ap in sorted(reachable):
+            shrunk = partner & partners(ap)
+            if len(shrunk) >= min_b:
+                viable[ap] = shrunk
+        if not viable:
+            if len(side) >= min_a and len(partner) >= min_b:
+                sink.append((tuple(side), tuple(sorted(partner))))
+            return
+        for ap, shrunk in viable.items():
+            if ap > side[-1]:
+                extend(side + [ap], shrunk, sink)
+
+    def per_leading(a1: int) -> list:
+        first = partners(a1)
+        if len(first) < min_b:
+            return []
+        sink = []
+        extend([a1], first, sink)
+        return sink
+
+    chunks = [per_leading(a1) for a1 in range(1, N + 1)]
+    oriented = set()
+    for chunk in chunks:
+        for A, B in chunk:
+            if (min(B), B) < (min(A), A):
+                A, B = B, A
+            oriented.add((A, B))
+    found = sorted(oriented)
+    truncated = len(found) > budget.max_results
+    found = found[:budget.max_results]
+    return SearchOutcome(
+        tuple(BipartitePair(config, A, B) for A, B in found), truncated)
 
 
 # ---------------------------------------------------------------- residues
@@ -191,12 +245,27 @@ def test_candidates_single_all_paths_vs_naive():
         (8, 3, 1, 10_000),  # residue stepping (a <= xmax)
         (72, 3, -5, 10_000),
         (300, 3, 1, 400),  # power-side table (xmax < a <= N)
+        (977, 4, 3, 500),  # direct x scan (a >= N)
         (400, 2, -1, 400),
-        (977, 4, 3, 500),  # direct x scan (a > N)
+        (400, 2, -3, 400),
+        (400, 3, 1, 400),
+        (400, 3, -2, 400),
         (1_562_500, 3, 1, 200),  # far beyond the table
     ]:
         got = list(_candidates_single(a, k, n, N))
         assert got == _cands_naive(a, k, n, N)
+
+
+def test_candidates_single_at_the_height_builds_no_table():
+    # at k = 2 the multiplier a = N (n < 0) is often the only one above its
+    # power range; a point query answers it without the divisor table
+    search._power_side_table.cache_clear()
+    _candidates_single.cache_clear()
+    for n in (-1, -3):
+        assert list(_candidates_single(5000, 2, n, 5000)) == \
+            _cands_naive(5000, 2, n, 5000)
+    assert search._power_side_table.cache_info().misses == 0
+    _candidates_single.cache_clear()
 
 
 def test_candidates_random_vs_naive():
@@ -222,7 +291,8 @@ def test_candidates_power_side_table_vs_naive():
                 table_path.add((a, k, n, N))
                 assert list(_candidates_single(a, k, n, N)) == \
                     _cands_naive(a, k, n, N), (a, k, n, N)
-    # once N exceeds |n|, k = 2 reaches the table only at a = N, n < 0
+    # once N exceeds |n|, k = 2 is above its power range only at a = N,
+    # n < 0, which takes the point query instead of the table
     assert {(a, n, N) for a, k, n, N in table_path if k == 2 and N >= 60} \
         == {(N, n, N) for N in (60, 120) for n in (-1, -2, -3, -7)}
     # shifts with x^k <= n have powers that give no m >= 1
@@ -420,3 +490,63 @@ def test_search_bipartite_parallel_determinism():
     seq = search_bipartite(cfg, SearchBudget(parallelism=1, **budget))
     par = search_bipartite(cfg, SearchBudget(parallelism=4, **budget))
     assert _pairs(seq) == _pairs(par)
+
+
+def test_search_bipartite_matches_reference_grid():
+    # the closed-set enumeration against the depth-first growth it replaced
+    for k, N in ((2, 60), (3, 400), (4, 400)):
+        for n in (-3, -1, 1, 2, 4):
+            cfg = TupleConfig(k=k, n=n)
+            for min_a in (1, 2, 3):
+                for min_b in (1, 2, 3):
+                    budget = SearchBudget(height=N, min_size=min_a,
+                                          min_partner=min_b)
+                    assert search_bipartite(cfg, budget) == \
+                        reference_search_bipartite(cfg, budget), \
+                        (k, n, N, min_a, min_b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 5), st.integers(-12, 12).filter(bool),
+       st.integers(1, 60), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 40))
+def test_search_bipartite_matches_reference(k, n, N, min_a, min_b, cap):
+    cfg = TupleConfig(k=k, n=n)
+    budget = SearchBudget(height=N, min_size=min_a, min_partner=min_b,
+                          max_results=cap)
+    assert search_bipartite(cfg, budget) == \
+        reference_search_bipartite(cfg, budget)
+
+
+def test_search_bipartite_at_scale():
+    # far beyond the reach of the depth-first growth (N = 20000 did not
+    # finish in minutes); the closed-set route takes about 0.1 s
+    N, min_a, min_b = 20000, 2, 1
+    cfg = TupleConfig(k=3, n=1)
+    start = time.perf_counter()
+    out = search_bipartite(cfg, SearchBudget(height=N, min_size=min_a,
+                                             min_partner=min_b))
+    elapsed = time.perf_counter() - start
+    pairs = _pairs(out)
+    assert not out.truncated and len(pairs) > 600
+    assert pairs == sorted(set(pairs))
+
+    def nbr(v):
+        return set(_candidates_single(v, 3, 1, N))
+
+    def enumerated_side_is_maximal(side, partner):
+        # partner is all common candidates of side, and no other element
+        # (every one with a candidate in partner is a candidate of some
+        # element of partner) keeps min_b of them
+        if len(side) < min_a or set.intersection(*map(nbr, side)) != set(partner):
+            return False
+        others = set().union(*map(nbr, partner)) - set(side)
+        return all(len(nbr(v) & set(partner)) < min_b for v in others)
+
+    for A, B in pairs:
+        assert verify_bipartite(A, B, cfg).ok
+        assert list(A) == sorted(set(A)) and list(B) == sorted(set(B))
+        assert (A[0], A) <= (B[0], B)
+        assert enumerated_side_is_maximal(A, B) or \
+            enumerated_side_is_maximal(B, A), (A, B)
+    assert elapsed < 10, f"took {elapsed:.2f} s against a 10 s budget"
