@@ -16,7 +16,6 @@ import logging
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from . import ff as ff_mod
 from . import sieve as sieve_mod
 from .core import TupleConfig, verify_bipartite, verify_tuple
 from .errors import InputError, InvariantViolation
-from .exact import format_rational
+from .exact import format_rational, parse_integer, parse_natural, parse_rational
 from .search import SearchBudget, search_bipartite, search_tuples
 
 logger = logging.getLogger(__name__)
@@ -52,44 +51,30 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _positive(s: str) -> int:
-    if not s.isdigit() or int(s) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s!r}")
-    return int(s)
+def _natural(text: str, floor: int) -> int:
+    """parse_natural, refusing values below floor."""
+    value = parse_natural(text)
+    if value < floor:
+        raise InputError(f"expected an integer >= {floor}, got {text!r}")
+    return value
 
 
-def _nonneg(s: str) -> int:
-    if not s.isdigit():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {s!r}")
-    return int(s)
+def _naturals(text: str, floor: int) -> list[int]:
+    """Comma-separated naturals, each at least floor; empty parts are skipped."""
+    return [_natural(part, floor) for part in text.split(",") if part.strip()]
 
 
-def _signed(s: str) -> int:
-    body = s[1:] if s[:1] in "+-" else s
-    if not body.isdigit():
-        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
-    return int(s)
+def _arg(parse, *args):
+    """argparse type calling parse(text, *args).
 
-
-def _rational(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational number, got {s!r}")
-
-
-def _element_list(s: str) -> list[int]:
-    try:
-        return [_positive(part.strip()) for part in s.split(",") if part.strip()]
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {s!r}")
-
-
-def _residue_list(s: str) -> list[int]:
-    try:
-        return [_nonneg(part.strip()) for part in s.split(",") if part.strip()]
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated residues, got {s!r}")
+    An InputError becomes argparse's error, which names the flag.
+    """
+    def convert(text: str):
+        try:
+            return parse(text, *args)
+        except InputError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _jsonify(obj):
@@ -168,7 +153,7 @@ def _cmd_bound(args) -> int:
 def _cmd_search_tuples(args) -> int:
     config = TupleConfig(args.k, args.n)
     budget = SearchBudget(height=args.N, min_size=args.min_size,
-                          max_results=args.max_results, parallelism=args.threads)
+                          max_results=args.max_results)
     outcome = search_tuples(config, budget)
     for t in outcome.results:
         _emit({"type": "tuple", **t.to_dict()})
@@ -180,8 +165,7 @@ def _cmd_search_tuples(args) -> int:
 def _cmd_search_bipartite(args) -> int:
     config = TupleConfig(args.k, args.n)
     budget = SearchBudget(height=args.N, min_size=args.minA,
-                          min_partner=args.minB, max_results=args.max_results,
-                          parallelism=args.threads)
+                          min_partner=args.minB, max_results=args.max_results)
     outcome = search_bipartite(config, budget)
     for p in outcome.results:
         _emit({"type": "pair", **p.to_dict()})
@@ -221,12 +205,8 @@ def _cmd_sieve(args) -> int:
     if args.set is not None:
         elems = args.set
     elif args.set_file is not None:
-        elems = []
         with open(args.set_file) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    elems.append(_positive(line))
+            elems = [_natural(line, 1) for line in map(str.strip, fh) if line]
     else:
         raise InputError("sieve needs --set or --set-file")
     result = sieve_mod.sieve_pipeline(elems, args.n, args.k, args.L)
@@ -259,19 +239,13 @@ def _sieve_audit(args) -> int:
 
 
 def _cmd_ff_scan(args) -> int:
-    lams = list(range(1, args.lam_max + 1)) if args.lam_max else [args.lam]
-
-    def run(lam: int):
+    results = []
+    for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam]:
         config = ff_mod.FieldConfig(args.p, args.k, lam)
         if args.mode == "bipartite":
-            return ff_mod.ff_scan_bipartite(config, args.maxA)
-        return ff_mod.ff_scan_clique(config)
-
-    if args.threads > 1 and len(lams) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run, lams))
-    else:
-        results = [run(lam) for lam in lams]
+            results.append(ff_mod.ff_scan_bipartite(config, args.maxA))
+        else:
+            results.append(ff_mod.ff_scan_clique(config))
 
     bad = 0
     for r in results:
@@ -330,6 +304,9 @@ def _build_parser() -> tuple[_Parser, dict]:
                      description="search, verify and bound shifted-product tuples")
     subs = parser.add_subparsers(dest="subcommand", required=True)
     registry: dict[str, _Parser] = {}
+    positive, natural = _arg(_natural, 1), _arg(parse_natural)
+    signed, rational = _arg(parse_integer), _arg(parse_rational)
+    elements, residues = _arg(_naturals, 1), _arg(_naturals, 0)
 
     def sub(name: str, func, **kwargs):
         sp = subs.add_parser(name, **kwargs)
@@ -339,81 +316,78 @@ def _build_parser() -> tuple[_Parser, dict]:
         return sp
 
     sp = sub("constants", _cmd_constants, help="per-degree constant tables")
-    sp.add_argument("--k", type=_positive, required=True)
+    sp.add_argument("--k", type=positive, required=True)
     sp.add_argument("--format", choices=["csv", "table", "jsonl"], default="csv")
 
     sp = sub("bound", _cmd_bound, help="evaluate every applicable size bound")
-    sp.add_argument("--n", type=_signed, required=True)
-    sp.add_argument("--k", type=_positive, required=True)
-    sp.add_argument("--L", type=_rational)
+    sp.add_argument("--n", type=signed, required=True)
+    sp.add_argument("--k", type=positive, required=True)
+    sp.add_argument("--L", type=rational)
     sp.add_argument("--format", choices=["jsonl", "csv", "table"], default="jsonl")
 
     sp = sub("search-tuples", _cmd_search_tuples, help="maximal tuples up to a height")
-    sp.add_argument("--k", type=_positive, required=True)
-    sp.add_argument("--n", type=_signed, required=True)
-    sp.add_argument("--N", type=_positive, required=True)
-    sp.add_argument("--min-size", type=_positive, default=2)
-    sp.add_argument("--max-results", type=_positive, default=10 ** 5)
-    sp.add_argument("--threads", type=_positive, default=1)
+    sp.add_argument("--k", type=positive, required=True)
+    sp.add_argument("--n", type=signed, required=True)
+    sp.add_argument("--N", type=positive, required=True)
+    sp.add_argument("--min-size", type=positive, default=2)
+    sp.add_argument("--max-results", type=positive, default=10 ** 5)
 
     sp = sub("search-bipartite", _cmd_search_bipartite,
              help="maximal two-sided pairs up to a height")
-    sp.add_argument("--k", type=_positive, required=True)
-    sp.add_argument("--n", type=_signed, required=True)
-    sp.add_argument("--N", type=_positive, required=True)
-    sp.add_argument("--minA", type=_positive, default=2)
-    sp.add_argument("--minB", type=_positive, default=2)
-    sp.add_argument("--max-results", type=_positive, default=10 ** 5)
-    sp.add_argument("--threads", type=_positive, default=1)
+    sp.add_argument("--k", type=positive, required=True)
+    sp.add_argument("--n", type=signed, required=True)
+    sp.add_argument("--N", type=positive, required=True)
+    sp.add_argument("--minA", type=positive, default=2)
+    sp.add_argument("--minB", type=positive, default=2)
+    sp.add_argument("--max-results", type=positive, default=10 ** 5)
 
     sp = sub("verify", _cmd_verify, help="check a tuple or pair definitionally")
-    sp.add_argument("--k", type=_positive, required=True)
-    sp.add_argument("--n", type=_signed, required=True)
-    sp.add_argument("--tuple", type=_element_list)
-    sp.add_argument("--A", type=_element_list)
-    sp.add_argument("--B", type=_element_list)
+    sp.add_argument("--k", type=positive, required=True)
+    sp.add_argument("--n", type=signed, required=True)
+    sp.add_argument("--tuple", type=elements)
+    sp.add_argument("--A", type=elements)
+    sp.add_argument("--B", type=elements)
 
     sp = sub("sieve", _cmd_sieve, help="larger-sieve size estimate for a set")
-    sp.add_argument("--n", type=_signed)
-    sp.add_argument("--k", type=_positive)
-    sp.add_argument("--L", type=_rational)
-    sp.add_argument("--set", type=_element_list)
+    sp.add_argument("--n", type=signed)
+    sp.add_argument("--k", type=positive)
+    sp.add_argument("--L", type=rational)
+    sp.add_argument("--set", type=elements)
     sp.add_argument("--set-file")
-    sp.add_argument("--audit", type=_positive,
+    sp.add_argument("--audit", type=positive,
                     help="run this many randomized soundness trials instead")
-    sp.add_argument("--seed", type=_nonneg, default=0)
-    sp.add_argument("--N", type=_positive,
+    sp.add_argument("--seed", type=natural, default=0)
+    sp.add_argument("--N", type=positive,
                     help="universe bound for audit trials (default 10000)")
 
     sp = sub("ff-scan", _cmd_ff_scan, help="prime-field product-set scans")
-    sp.add_argument("--p", type=_positive, required=True)
-    sp.add_argument("--k", type=_positive, required=True)
-    sp.add_argument("--lam", type=_positive, default=1)
-    sp.add_argument("--lam-max", type=_positive,
+    sp.add_argument("--p", type=positive, required=True)
+    sp.add_argument("--k", type=positive, required=True)
+    sp.add_argument("--lam", type=positive, default=1)
+    sp.add_argument("--lam-max", type=positive,
                     help="sweep the shift over 1..M instead of --lam")
     sp.add_argument("--mode", choices=["bipartite", "clique"], required=True)
-    sp.add_argument("--maxA", type=_positive, default=3)
-    sp.add_argument("--threads", type=_positive, default=1)
+    sp.add_argument("--maxA", type=positive, default=3)
 
     sp = sub("char-sum", _cmd_char_sum, help="multiplicative character sums")
-    sp.add_argument("--p", type=_positive)
-    sp.add_argument("--k", type=_positive, required=True)
-    sp.add_argument("--A", type=_residue_list)
-    sp.add_argument("--B", type=_residue_list)
-    sp.add_argument("--g", type=_positive)
-    sp.add_argument("--max-p", type=_positive,
+    sp.add_argument("--p", type=positive)
+    sp.add_argument("--k", type=positive, required=True)
+    sp.add_argument("--A", type=residues)
+    sp.add_argument("--B", type=residues)
+    sp.add_argument("--g", type=positive)
+    sp.add_argument("--max-p", type=positive,
                     help="sweep primes up to this bound with interval sets")
-    sp.add_argument("--interval", type=_positive,
+    sp.add_argument("--interval", type=positive,
                     help="interval length for the sweep (default: isqrt(p))")
     sp.add_argument("--format", choices=["csv", "table", "jsonl"], default="csv")
 
     sp = sub("thue-scan", _cmd_thue_scan,
              help="primitive solutions of a two-term power inequality")
-    sp.add_argument("--a", type=_positive, required=True)
-    sp.add_argument("--b", type=_positive, required=True)
-    sp.add_argument("--k", type=_positive, required=True)
-    sp.add_argument("--c", type=_nonneg, required=True)
-    sp.add_argument("--X", type=_positive, required=True)
+    sp.add_argument("--a", type=positive, required=True)
+    sp.add_argument("--b", type=positive, required=True)
+    sp.add_argument("--k", type=positive, required=True)
+    sp.add_argument("--c", type=natural, required=True)
+    sp.add_argument("--X", type=positive, required=True)
 
     return parser, registry
 

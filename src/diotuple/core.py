@@ -8,14 +8,13 @@ how fast elements of such sets must grow.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import HypothesisError, InputError
-from .exact import compare_value_to_power, format_rational, is_perfect_kth_power
+from .exact import compare_value_to_power, is_perfect_kth_power
 
 logger = logging.getLogger(__name__)
 
@@ -96,10 +95,6 @@ def verify_bipartite(A: Sequence[int], B: Sequence[int],
     return VerifyReport(not failures, tuple(failures), tuple(notes))
 
 
-def _canonical_json(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class DiophantineTuple:
     """A verified tuple: every pairwise product is a shifted k-th power."""
@@ -122,9 +117,6 @@ class DiophantineTuple:
             "n": str(self.config.n),
             "elements": [str(e) for e in self.elements],
         }
-
-    def to_json(self) -> str:
-        return _canonical_json(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -167,9 +159,6 @@ class BipartitePair:
             "B": [str(e) for e in self.B],
         }
 
-    def to_json(self) -> str:
-        return _canonical_json(self.to_dict())
-
 
 def gap_lower_bound(a: int, c: int, config: TupleConfig) -> Fraction:
     """Exact lower bound forced on b*d by the gap principle.
@@ -201,18 +190,6 @@ class GapCertificate:
     d: int
     bound: Fraction
     holds: bool
-
-    def to_json(self) -> str:
-        return _canonical_json({
-            "k": str(self.config.k),
-            "n": str(self.config.n),
-            "a": str(self.a),
-            "b": str(self.b),
-            "c": str(self.c),
-            "d": str(self.d),
-            "bound": format_rational(self.bound),
-            "holds": self.holds,
-        })
 
 
 def check_gap_quadruple(a: int, b: int, c: int, d: int,

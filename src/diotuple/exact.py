@@ -18,6 +18,7 @@ from .errors import InputError, InvariantViolation
 # Natural numbers are plain Python ints (>= 0); exact rationals are
 # fractions.Fraction, which already guarantees the canonical reduced form.
 
+_INTEGER_RE = re.compile(r"^[+-]?\d+$")
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 # Deterministic Miller-Rabin bases for n < 3.3 * 10^24 (covers all of u64).
@@ -74,8 +75,16 @@ def format_natural(value: int) -> str:
 
 def parse_natural(text: str) -> int:
     s = text.strip()
-    if not s.isdigit():
+    if not s.isdecimal():
         raise InputError(f"not a decimal natural: {text!r}")
+    return int(s)
+
+
+def parse_integer(text: str) -> int:
+    """A signed decimal integer: an optional '+' or '-', then digits."""
+    s = text.strip()
+    if not _INTEGER_RE.match(s):
+        raise InputError(f"not a decimal integer: {text!r}")
     return int(s)
 
 

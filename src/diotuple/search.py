@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,16 +43,13 @@ class SearchBudget:
 
     height: largest element considered (N); min_size: smallest tuple (or
     A-side) emitted; min_partner: smallest B-side emitted (bipartite only);
-    max_results: output cap, exceeding it sets the truncation flag;
-    parallelism: worker hint for search_tuples (search_bipartite runs in
-    one thread), never affects output bytes.
+    max_results: output cap, exceeding it sets the truncation flag.
     """
 
     height: int
     min_size: int = 2
     min_partner: int = 2
     max_results: int = 10 ** 5
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.height < 1:
@@ -62,8 +58,6 @@ class SearchBudget:
             raise InputError("size floors must be >= 1")
         if self.max_results < 1:
             raise InputError("max_results must be >= 1")
-        if self.parallelism < 1:
-            raise InputError("parallelism hint must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -248,32 +242,24 @@ def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
     """All maximal tuples with elements <= height, smallest first.
 
     Maximal means no single element <= height extends the tuple.  Output
-    order is lexicographic and independent of the parallelism hint.
+    order is lexicographic.
     """
     N, k, n = budget.height, config.k, config.n
+    found = []
 
-    def extend(chain: list[int], cand: set[int], sink: list):
+    def extend(chain: list[int], cand: set[int]):
         ext = sorted(c for c in cand if c > chain[-1])
         _gap_floor_check(chain, ext, config)
         if not (cand - set(chain)):
             if len(chain) >= budget.min_size:
-                sink.append(tuple(chain))
+                found.append(tuple(chain))
             return
         for w in ext:
-            extend(chain + [w],
-                   cand & set(_candidates_single(w, k, n, N)), sink)
+            extend(chain + [w], cand & set(_candidates_single(w, k, n, N)))
 
-    def per_leading(c1: int) -> list:
-        sink = []
-        extend([c1], set(_candidates_single(c1, k, n, N)), sink)
-        return sink
-
-    if budget.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=budget.parallelism) as pool:
-            chunks = list(pool.map(per_leading, range(1, N + 1)))
-    else:
-        chunks = [per_leading(c1) for c1 in range(1, N + 1)]
-    return _outcome((t for chunk in chunks for t in chunk), budget.max_results,
+    for c1 in range(1, N + 1):
+        extend([c1], set(_candidates_single(c1, k, n, N)))
+    return _outcome(found, budget.max_results,
                     lambda t: DiophantineTuple(config, t))
 
 

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from mpmath import mp
+
 from .errors import InputError
-from .exact import integer_kth_root, is_prime, trial_factor
+from .exact import compare_value_to_power, is_prime, trial_factor
 
 
 def euler_phi(k: int) -> int:
@@ -91,13 +93,22 @@ class PipelineResult:
 
 
 def _ceil_power(base: int, expo: Fraction) -> int:
-    """ceil(base^expo) exactly for rational expo with a small denominator."""
+    """ceil(base^expo) exactly, for base >= 1 and rational expo > 0.
+
+    mpmath seeds c at the result's bit size; compare_value_to_power then
+    settles it to the least c with c >= base^expo.  The seed is off by about
+    bits * 2^-guard, so guard bits beyond log2(bits) keep it a step or two
+    from the answer.
+    """
     p, q = expo.numerator, expo.denominator
-    power = base ** p
-    root = integer_kth_root(power, q) if q > 1 else power
-    if q > 1 and root ** q < power:
-        root += 1
-    return root
+    bits = p * base.bit_length() // q + 1
+    with mp.workprec(bits + bits.bit_length() + 32):
+        c = max(1, int(mp.ceil(mp.power(base, mp.mpf(p) / q))))
+    while c > 1 and compare_value_to_power(c - 1, base, expo) >= 0:
+        c -= 1
+    while compare_value_to_power(c, base, expo) < 0:
+        c += 1
+    return c
 
 
 def sieve_pipeline(A: Sequence[int], n: int, k: int, L) -> PipelineResult:
@@ -118,10 +129,7 @@ def sieve_pipeline(A: Sequence[int], n: int, k: int, L) -> PipelineResult:
     log_n = math.log(abs(n))
     Lfloat = Lf.numerator / Lf.denominator
     Q = (4 / k) * (phi * Lfloat * log_n) ** 2
-    if Lf.denominator <= 64:
-        cap = _ceil_power(abs(n), Lf)
-    else:
-        cap = math.ceil(abs(n) ** Lfloat)
+    cap = _ceil_power(abs(n), Lf)
     primes = primes_in_class(Q, k, n)
     diagnostics = {
         "sum_log_p": sum(math.log(p) for p in primes),

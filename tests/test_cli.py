@@ -1,8 +1,11 @@
 """Command-line surface: wire formats, exit codes, determinism, config files."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,20 +112,6 @@ def test_search_bipartite_round_trips_through_verify():
         assert records(out2)[0]["ok"] is True
 
 
-def test_threads_do_not_change_bytes():
-    base = run_cli("search-tuples", "--k", "3", "--n", "-1", "--N", "40")
-    par = run_cli("search-tuples", "--k", "3", "--n", "-1", "--N", "40",
-                  "--threads", "8")
-    assert base[0] == par[0] == 0
-    assert base[1] == par[1]
-
-    base = run_cli("ff-scan", "--mode", "clique", "--p", "13", "--k", "3",
-                   "--lam-max", "4")
-    par = run_cli("ff-scan", "--mode", "clique", "--p", "13", "--k", "3",
-                  "--lam-max", "4", "--threads", "3")
-    assert base[1] == par[1]
-
-
 def test_bound_formats():
     code, out, _ = run_cli("bound", "--n", "7", "--k", "6", "--L", "5/4")
     assert code == 0
@@ -159,6 +148,27 @@ def test_sieve_set_file(tmp_path):
     code, _, err = run_cli("sieve", "--set-file", str(tmp_path / "nope.txt"),
                            "--n", "100", "--k", "3", "--L", "1")
     assert code == 1
+
+
+def test_sieve_set_file_bad_line_is_an_input_error(tmp_path):
+    f = tmp_path / "set.txt"
+    for bad in ("9x", "0"):
+        f.write_text(f"2\n{bad}\n28\n")
+        code, out, err = run_cli("sieve", "--set-file", str(f), "--n", "100",
+                                 "--k", "3", "--L", "1")
+        assert code == 1, bad
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_sieve_cap_beyond_float_range(capsys):
+    # |n|^L near 10^403 overflows a float; the exact ceiling does not
+    code = cli.main(["sieve", "--set", "2,9", "--n", str(10 ** 400),
+                     "--k", "3", "--L", "131/130"])
+    assert code == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert int(rec["cap"]).bit_length() == 1339
 
 
 def test_sieve_audit_deterministic():
@@ -282,3 +292,80 @@ def test_main_inprocess_matches_subprocess():
         code_in = cli.main(["constants", "--k", "6"])
     assert code_in == code_sub == 0
     assert buf.getvalue() == out_sub
+
+
+# one command per value kind; the value under test replaces "{}"
+_FLAG_KINDS = {
+    "positive": ("constants", "--k", "{}"),
+    "signed": ("verify", "--k", "3", "--tuple", "2,13", "--n", "{}"),
+    "rational": ("sieve", "--set", "2,9", "--n", "100", "--k", "3",
+                 "--L", "{}"),
+    "elements": ("verify", "--k", "3", "--n", "1", "--B", "13", "--A", "{}"),
+    "residues": ("char-sum", "--p", "13", "--k", "3", "--B", "1",
+                 "--A", "{}"),
+    "natural": ("thue-scan", "--a", "2", "--b", "1", "--k", "3", "--X", "50",
+                "--c", "{}"),
+}
+
+_FLAG_CASES = [
+    ("positive", "3", 0), ("positive", " 3", 0), ("positive", "0", 1),
+    ("positive", "+3", 1), ("positive", "-3", 1), ("positive", "3x", 1),
+    ("positive", "3.0", 1),
+    ("signed", "5", 0), ("signed", "+5", 0), ("signed", "-5", 0),
+    ("signed", "5x", 1), ("signed", "+-5", 1), ("signed", "5/1", 1),
+    ("rational", "5/4", 0), ("rational", "5", 0), ("rational", "+5/4", 0),
+    ("rational", "1/0", 1), ("rational", "1.25", 1), ("rational", "1e1", 1),
+    ("rational", "1_0", 1), ("rational", "5/-4", 1),
+    ("elements", "1,2", 0), ("elements", "1,,2", 0), ("elements", "1,-2", 1),
+    ("elements", "1,0", 1), ("elements", "1;2", 1),
+    ("residues", "0,1", 0), ("residues", "1,-2", 1),
+    ("natural", "0", 0), ("natural", "1", 0), ("natural", "-1", 1),
+]
+
+
+def _main_exit(argv):
+    try:
+        return cli.main(list(argv))
+    except SystemExit as exc:  # argparse's error path
+        return exc.code
+
+
+def test_flag_grammar(capsys):
+    for kind, value, want in _FLAG_CASES:
+        argv = [value if a == "{}" else a for a in _FLAG_KINDS[kind]]
+        assert _main_exit(argv) == want, (kind, value)
+        err = capsys.readouterr().err
+        if want:
+            # the message names the flag and gives the parser's reason, not
+            # argparse's generic "invalid ... value"
+            assert err.startswith("error: argument " + argv[-2]), err
+            assert "invalid" not in err, err
+
+
+def test_threads_is_unknown(tmp_path, capsys):
+    for argv in (("search-tuples", "--k", "3", "--n", "1", "--N", "10"),
+                 ("search-bipartite", "--k", "3", "--n", "1", "--N", "10"),
+                 ("ff-scan", "--mode", "clique", "--p", "13", "--k", "3")):
+        assert _main_exit([*argv, "--threads", "2"]) == 1, argv
+        assert "--threads" in capsys.readouterr().err
+    cfg = tmp_path / "threads.conf"
+    cfg.write_text("k = 3\nn = 1\nN = 10\nthreads = 2\n")
+    assert _main_exit(["search-tuples", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown config key 'threads' for search-tuples\n")
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = [ln for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+             for ln in block.splitlines() if ln.startswith("diotuple ")]
+    assert len(lines) > 10
+    parser, _ = cli._build_parser()
+    for line in lines:
+        if "--config" in line:
+            continue
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

@@ -17,6 +17,7 @@ from diotuple.exact import (
     integer_kth_root,
     is_perfect_kth_power,
     is_prime,
+    parse_integer,
     parse_natural,
     parse_rational,
     trial_factor,
@@ -108,6 +109,17 @@ def test_natural_round_trip():
         parse_natural("1_000")
     with pytest.raises(InputError):
         parse_natural("12x")
+    with pytest.raises(InputError):
+        parse_natural("\u00b2")  # a digit character that int() refuses
+
+
+def test_parse_integer():
+    assert parse_integer(" -12 ") == -12
+    assert parse_integer("+5") == 5
+    assert parse_integer(str(-10**40)) == -10**40
+    for bad in ("", "-", "+-5", "5x", "1.0", "1_0", "1/1", "- 5"):
+        with pytest.raises(InputError):
+            parse_integer(bad)
 
 
 def test_rational_round_trip():

@@ -395,14 +395,6 @@ def test_brute_force_caps():
         brute_force_tuples(cfg, 0, 2)
 
 
-def test_search_parallel_determinism():
-    cfg = TupleConfig(k=3, n=-1)
-    seq = search_tuples(cfg, SearchBudget(height=40, parallelism=1))
-    par = search_tuples(cfg, SearchBudget(height=40, parallelism=4))
-    assert _elems(seq) == _elems(par)
-    assert seq.truncated == par.truncated
-
-
 def test_search_truncation():
     cfg = TupleConfig(k=3, n=1)
     full = search_tuples(cfg, SearchBudget(height=30))
@@ -418,8 +410,6 @@ def test_search_budget_validation():
         SearchBudget(height=10, min_size=0)
     with pytest.raises(InputError):
         SearchBudget(height=10, max_results=0)
-    with pytest.raises(InputError):
-        SearchBudget(height=10, parallelism=0)
 
 
 def test_gap_floor_check_trips_on_fabricated_candidate():
@@ -482,14 +472,6 @@ def test_search_bipartite_pairs_verify():
         for a in p.A:
             for b in p.B:
                 assert is_perfect_kth_power(a * b - 1, 3)
-
-
-def test_search_bipartite_parallel_determinism():
-    cfg = TupleConfig(k=3, n=1)
-    budget = dict(height=50, min_size=1, min_partner=2)
-    seq = search_bipartite(cfg, SearchBudget(parallelism=1, **budget))
-    par = search_bipartite(cfg, SearchBudget(parallelism=4, **budget))
-    assert _pairs(seq) == _pairs(par)
 
 
 def test_search_bipartite_matches_reference_grid():

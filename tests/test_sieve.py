@@ -142,9 +142,11 @@ def test_pipeline_exact_cap():
     # non-integer power rounds up: 10^(3/2) = 31.62... -> 32
     res = sieve_pipeline([1], 10, 2, Fraction(3, 2))
     assert res.cap == 32
-    # huge denominators fall back to float ceil
+    # denominators above 64 take the same exact route: 10^(101/67) = 32.17...
     res = sieve_pipeline([1], 10, 2, Fraction(101, 67))
-    assert res.cap == math.ceil(10 ** (101 / 67))
+    assert res.cap == 33
+    # an exact tie past 64 bits: (2^67)^(68/67) = 2^68, not 2^68 + 589824
+    assert sieve_pipeline([1], 2 ** 67, 3, Fraction(68, 67)).cap == 2 ** 68
 
 
 def test_pipeline_diagnostics_keys_and_drag():
