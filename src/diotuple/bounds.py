@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp
-
 from .errors import InputError
 from .exact import integer_kth_root, is_perfect_kth_power
 
@@ -113,6 +111,7 @@ def tail_term(k: int, L) -> float:
         raise InputError(f"L must exceed k/(2k-4) = {lo}, got {L}")
     if Lf > hi:
         raise InputError(f"L must not exceed k/(k-2) = {hi}, got {L}")
+    from mpmath import mp
     with mp.workprec(120):
         Lm = mp.mpf(Lf.numerator) / Lf.denominator
         inner = 3 + mp.mpf(k) / Lm - k
@@ -133,6 +132,7 @@ def bipartite_side_bound(n: int, k: int) -> Fraction | float:
         raise InputError(f"bound defined for k >= 3, got {k}")
     if abs(n) == 1:
         return Fraction(table_constants(k).r + 1)
+    from mpmath import mp
     with mp.workprec(120):
         first = (mp.log(mp.log(abs(n))) + mp.mpf("3.3")) / mp.log(k - 1) + 8
         expo = Fraction(2 * (k + 1), k - 2)
@@ -152,6 +152,7 @@ def tuple_size_bound(n: int, k: int, L) -> float:
         raise InputError("shift n must be nonzero")
     tail = tail_term(k, L)  # validates k and L
     Lf = Fraction(L)
+    from mpmath import mp
     with mp.workprec(120):
         radicand = mp.power(abs(n), 2 * mp.mpf(Lf.numerator) / Lf.denominator) + n
         if radicand < 0:
@@ -165,6 +166,7 @@ def tuple_size_bound_closed(n: int, k: int) -> float:
         raise InputError("shift n must be nonzero")
     if k < 3:
         raise InputError(f"bound defined for k >= 3, got {k}")
+    from mpmath import mp
     with mp.workprec(120):
         value = mp.power(2, mp.mpf(1) / k) * mp.power(abs(n), mp.mpf(2) / (k - 2)) + 16
         return float(value)
@@ -178,6 +180,7 @@ def tuple_size_small_regime(n: int, k: int) -> bool:
         raise InputError(f"bound defined for k >= 3, got {k}")
     if abs(n) < 2:
         return False
+    from mpmath import mp
     with mp.workprec(120):
         return mp.mpf(k) >= 2 * mp.log(abs(n)) + 2
 

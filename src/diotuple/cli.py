@@ -10,22 +10,18 @@ invariant check failed (the loudest failure this tool can produce).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
-import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import ff as ff_mod
-from . import sieve as sieve_mod
-from .core import TupleConfig, verify_bipartite, verify_tuple
 from .errors import InputError, InvariantViolation
 from .exact import format_rational, parse_integer, parse_natural, parse_rational
-from .search import SearchBudget, search_bipartite, search_tuples
+
+# Each subcommand imports the layers it runs, so a process pays only for
+# those (ff-scan never loads search, core, bounds or sieve).
 
 logger = logging.getLogger(__name__)
 
@@ -110,6 +106,7 @@ def _cell(value) -> str:
 def _emit_rows(fmt: str, header: list[str], rows: list[list]):
     cells = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(cells)
@@ -125,9 +122,10 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list]):
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_constants(args) -> int:
+    from . import bounds
     k = args.k
-    tc = bounds_mod.table_constants(k)
-    alpha, beta = bounds_mod.evertse_constants(k)
+    tc = bounds.table_constants(k)
+    alpha, beta = bounds.evertse_constants(k)
     if args.format == "jsonl":
         _emit({"type": "constants", "k": k, "r": tc.r, "s": tc.s, "t": tc.t,
                "u": tc.u, "alpha": alpha, "beta": beta})
@@ -138,7 +136,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    reports = bounds_mod.bound_reports(args.n, args.k, args.L)
+    from . import bounds
+    reports = bounds.bound_reports(args.n, args.k, args.L)
     if args.format == "jsonl":
         for r in reports:
             _emit({"type": "bound", **asdict(r)})
@@ -151,6 +150,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_search_tuples(args) -> int:
+    from .core import TupleConfig
+    from .search import SearchBudget, search_tuples
     config = TupleConfig(args.k, args.n)
     budget = SearchBudget(height=args.N, min_size=args.min_size,
                           max_results=args.max_results)
@@ -163,6 +164,8 @@ def _cmd_search_tuples(args) -> int:
 
 
 def _cmd_search_bipartite(args) -> int:
+    from .core import TupleConfig
+    from .search import SearchBudget, search_bipartite
     config = TupleConfig(args.k, args.n)
     budget = SearchBudget(height=args.N, min_size=args.minA,
                           min_partner=args.minB, max_results=args.max_results)
@@ -175,6 +178,7 @@ def _cmd_search_bipartite(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .core import TupleConfig, verify_bipartite, verify_tuple
     config = TupleConfig(args.k, args.n)
     if args.tuple is not None:
         if args.A is not None or args.B is not None:
@@ -209,22 +213,26 @@ def _cmd_sieve(args) -> int:
             elems = [_natural(line, 1) for line in map(str.strip, fh) if line]
     else:
         raise InputError("sieve needs --set or --set-file")
-    result = sieve_mod.sieve_pipeline(elems, args.n, args.k, args.L)
+    from . import sieve
+    result = sieve.sieve_pipeline(elems, args.n, args.k, args.L)
     _emit({"type": "sieve", **asdict(result)})
     return 0
 
 
 def _sieve_audit(args) -> int:
     """Randomized soundness driver: the estimate must never undercount."""
+    import random
+
+    from . import sieve
     rng = random.Random(args.seed)
     N = args.N or 10 ** 4
-    pool = sieve_mod.primes_up_to(1000)
+    pool = sieve.primes_up_to(1000)
     usable = violations = 0
     for trial in range(args.audit):
         size = rng.randint(1, 60)
         A = rng.sample(range(1, N + 1), size)
         P = rng.sample(pool, rng.randint(1, 25))
-        ev = sieve_mod.gallagher_bound(A, N, P)
+        ev = sieve.gallagher_bound(A, N, P)
         if ev.bound is None:
             continue
         usable += 1
@@ -239,13 +247,14 @@ def _sieve_audit(args) -> int:
 
 
 def _cmd_ff_scan(args) -> int:
+    from . import ff
     results = []
     for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam]:
-        config = ff_mod.FieldConfig(args.p, args.k, lam)
+        config = ff.FieldConfig(args.p, args.k, lam)
         if args.mode == "bipartite":
-            results.append(ff_mod.ff_scan_bipartite(config, args.maxA))
+            results.append(ff.ff_scan_bipartite(config, args.maxA))
         else:
-            results.append(ff_mod.ff_scan_clique(config))
+            results.append(ff.ff_scan_clique(config))
 
     bad = 0
     for r in results:
@@ -261,15 +270,17 @@ def _cmd_ff_scan(args) -> int:
 
 
 def _cmd_char_sum(args) -> int:
+    from . import ff
     if args.max_p is not None:
+        from . import sieve
         rows = []
-        for p in sieve_mod.primes_up_to(args.max_p):
+        for p in sieve.primes_up_to(args.max_p):
             if p < 3 or (p - 1) % args.k != 0:
                 continue
             m = args.interval or math.isqrt(p)
             m = max(1, min(m, p - 1))
-            config = ff_mod.FieldConfig(p, args.k)
-            r = ff_mod.char_sum(range(1, m + 1), range(1, m + 1), config)
+            config = ff.FieldConfig(p, args.k)
+            r = ff.char_sum(range(1, m + 1), range(1, m + 1), config)
             rows.append([p, args.k, m, r.zero_hits, r.magnitude,
                          "" if r.exponent is None else repr(r.exponent)])
         if args.format == "jsonl":
@@ -285,14 +296,15 @@ def _cmd_char_sum(args) -> int:
         return 0
     if args.p is None or args.A is None or args.B is None:
         raise InputError("char-sum needs --p, --A and --B (or --max-p for a sweep)")
-    config = ff_mod.FieldConfig(args.p, args.k, g=args.g or 0)
-    r = ff_mod.char_sum(args.A, args.B, config)
+    config = ff.FieldConfig(args.p, args.k, g=args.g or 0)
+    r = ff.char_sum(args.A, args.B, config)
     _emit({"type": "char-sum", **asdict(r), "g": config.g})
     return 0
 
 
 def _cmd_thue_scan(args) -> int:
-    report = bounds_mod.thue_scan(args.a, args.b, args.k, args.c, args.X)
+    from . import bounds
+    report = bounds.thue_scan(args.a, args.b, args.k, args.c, args.X)
     _emit({"type": "thue-scan", **asdict(report)})
     return 3 if report.lemma_violation else 0
 

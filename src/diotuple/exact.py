@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from mpmath import mp
-
 from .errors import InputError, InvariantViolation
 
 # Natural numbers are plain Python ints (>= 0); exact rationals are
@@ -185,6 +183,7 @@ def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:
     log_span = max(q * value.bit_length(), p * base.bit_length())
     needed = (log_span + 22 + q.bit_length()
               + (p * base.bit_length() + 1).bit_length())
+    from mpmath import mp  # the exact paths above settle most calls without it
     guard = 1e-12
     prec = 80
     while True:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from mpmath import mp
-
 from .errors import InputError
 from .exact import compare_value_to_power, is_prime, trial_factor
 
@@ -58,19 +56,30 @@ class SieveEvaluation:
     occupied: dict[int, int]  # prime -> number of residues A touches
 
 
-def gallagher_bound(A: Iterable[int], N: int, P: Iterable[int]) -> SieveEvaluation:
-    """Evaluate the larger-sieve estimate for A inside [1, N] over primes P."""
+def _sieved_set(A: Iterable[int], N: int) -> list[int]:
+    """The distinct elements of A, sorted, after checking they lie in [1, N]."""
     elems = sorted(set(A))
     if not elems:
         raise InputError("the sieved set must be nonempty")
     if elems[0] < 1 or elems[-1] > N:
         raise InputError(f"elements must lie in [1, {N}]")
+    return elems
+
+
+def gallagher_bound(A: Iterable[int], N: int, P: Iterable[int]) -> SieveEvaluation:
+    """Evaluate the larger-sieve estimate for A inside [1, N] over primes P."""
+    elems = _sieved_set(A, N)
     primes = sorted(set(P))
     if not primes:
         raise InputError("need at least one sieving prime")
     for p in primes:
         if p < 2 or not is_prime(p):
             raise InputError(f"{p} is not prime")
+    return _gallagher(elems, N, primes)
+
+
+def _gallagher(elems: list[int], N: int, primes: list[int]) -> SieveEvaluation:
+    """The estimate itself, for checked elements and known distinct primes."""
     log_n = math.log(N)
     occupied = {p: len({a % p for a in elems}) for p in primes}
     numerator = sum(math.log(p) for p in primes) - log_n
@@ -100,6 +109,7 @@ def _ceil_power(base: int, expo: Fraction) -> int:
     bits * 2^-guard, so guard bits beyond log2(bits) keep it a step or two
     from the answer.
     """
+    from mpmath import mp
     p, q = expo.numerator, expo.denominator
     bits = p * base.bit_length() // q + 1
     with mp.workprec(bits + bits.bit_length() + 32):
@@ -144,6 +154,7 @@ def sieve_pipeline(A: Sequence[int], n: int, k: int, L) -> PipelineResult:
     }
     if not primes:
         return PipelineResult(n, k, str(Lf), Q, cap, (), True, None, diagnostics)
-    evaluation = gallagher_bound(A, cap, primes)
+    # primes_in_class sieved these primes; Miller-Rabin need not re-test them
+    evaluation = _gallagher(_sieved_set(A, cap), cap, primes)
     return PipelineResult(n, k, str(Lf), Q, cap, tuple(primes), False,
                           evaluation, diagnostics)

@@ -1,6 +1,7 @@
 """Command-line surface: wire formats, exit codes, determinism, config files."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -11,11 +12,16 @@ import pytest
 
 import diotuple.cli as cli
 
+# children import the same diotuple as this process, installed or not
+_CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")])))
+
 
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "diotuple", *args],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=_CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -274,7 +280,7 @@ def test_exit_three_on_fabricated_violation(monkeypatch, capsys):
 
     doctored = replace(bounds_mod.thue_scan(1, 1, 3, 0, 50),
                        lemma_violation=True)
-    monkeypatch.setattr(cli.bounds_mod, "thue_scan",
+    monkeypatch.setattr(bounds_mod, "thue_scan",
                         lambda *a, **kw: doctored)
     code = cli.main(["thue-scan", "--a", "1", "--b", "1", "--k", "3",
                      "--c", "0", "--X", "50"])
@@ -369,3 +375,40 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+# runs one CLI command in a fresh interpreter, then lists what it imported
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from diotuple import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(
+    m for m in sys.modules if m == "mpmath" or m.startswith("diotuple."))}))
+"""
+
+
+@pytest.mark.parametrize("argv, needed, absent", [
+    (["--help"], {"diotuple.cli"}, {"mpmath"}),
+    (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3",
+      "--maxA", "3"],
+     {"diotuple.ff"},
+     {"mpmath", "diotuple.search", "diotuple.core", "diotuple.bounds",
+      "diotuple.sieve"}),
+    (["search-tuples", "--k", "3", "--n", "1", "--N", "2000"],
+     {"diotuple.search", "diotuple.core"},
+     {"mpmath", "diotuple.ff", "diotuple.bounds"}),
+], ids=["help", "ff-scan", "search-tuples"])
+def test_subcommand_loads_only_its_layers(argv, needed, absent):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env=_CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0
+    loaded = set(probe["modules"])
+    assert needed <= loaded
+    assert not loaded & absent, sorted(loaded & absent)

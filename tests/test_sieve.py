@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from diotuple import exact, sieve
 from diotuple.errors import InputError
 from diotuple.sieve import (
     euler_phi,
@@ -111,6 +112,9 @@ def test_gallagher_errors():
         gallagher_bound([5], 10, [])
     with pytest.raises(InputError):
         gallagher_bound([5], 10, [4])
+    # a strong pseudoprime to bases 2, 3, 5 and 7 is still refused
+    with pytest.raises(InputError):
+        gallagher_bound([5], 10, [3, 3215031751])
 
 
 def test_pipeline_frozen():
@@ -122,6 +126,22 @@ def test_pipeline_frozen():
     assert res.evaluation is not None
     assert res.evaluation.size == 3
     assert res.L == "1"
+
+
+def test_pipeline_does_not_retest_its_primes(monkeypatch):
+    tested = []
+
+    def spy(p):
+        tested.append(p)
+        return exact.is_prime(p)
+
+    monkeypatch.setattr(sieve, "is_prime", spy)
+    res = sieve_pipeline([2, 9, 28], 100, 3, 1)
+    assert tested == []
+    # the same estimate as the public entry point, which does test them
+    assert res.evaluation == gallagher_bound([2, 9, 28], res.cap, res.primes)
+    assert tested == list(res.primes)
+    assert res.evaluation.bound == pytest.approx(3.421207578275355, rel=1e-12)
 
 
 def test_pipeline_degenerate():
