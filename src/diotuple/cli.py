@@ -94,6 +94,8 @@ def _emit(record: dict):
 
 
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Fraction):
@@ -273,7 +275,8 @@ def _cmd_char_sum(args) -> int:
     from . import ff
     if args.max_p is not None:
         from . import sieve
-        rows = []
+        header = ["p", "k", "side", "zero_hits", "magnitude", "exponent"]
+        recs = []
         for p in sieve.primes_up_to(args.max_p):
             if p < 3 or (p - 1) % args.k != 0:
                 continue
@@ -281,18 +284,13 @@ def _cmd_char_sum(args) -> int:
             m = max(1, min(m, p - 1))
             config = ff.FieldConfig(p, args.k)
             r = ff.char_sum(range(1, m + 1), range(1, m + 1), config)
-            rows.append([p, args.k, m, r.zero_hits, r.magnitude,
-                         "" if r.exponent is None else repr(r.exponent)])
+            recs.append(dict(zip(header, (p, args.k, m, r.zero_hits,
+                                          r.magnitude, r.exponent))))
         if args.format == "jsonl":
-            for row in rows:
-                _emit({"type": "char-sweep", "p": row[0], "k": row[1],
-                       "side": row[2], "zero_hits": row[3],
-                       "magnitude": row[4],
-                       "exponent": None if row[5] == "" else float(row[5])})
+            for rec in recs:
+                _emit({"type": "char-sweep", **rec})
         else:
-            _emit_rows(args.format,
-                       ["p", "k", "side", "zero_hits", "magnitude", "exponent"],
-                       rows)
+            _emit_rows(args.format, header, [list(rec.values()) for rec in recs])
         return 0
     if args.p is None or args.A is None or args.B is None:
         raise InputError("char-sum needs --p, --A and --B (or --max-p for a sweep)")

@@ -3,21 +3,22 @@
 The kernel: every cofactor b of a multiplier a with a*b + n = x^k comes
 from a power x^k, so candidates are enumerated on the power side and
 mapped back, never by scanning b.  A multiplier takes one of three routes:
-within the power range it steps through the residues x^k ≡ n (mod a);
-above it but below the height it reads its cofactors from one divisor
-table of the values x^k - n, built once per (k, n, height); a point query
-at or above the height tests each x directly.  Tuple search is
-depth-first extension over intersected candidate sets; an exact
-gap-principle floor cross-checks every deep extension.  Bipartite search
-enumerates closed partner sets: by the symmetry of a*b + n = x^k, every
-A-side-maximal pair (A, B) has B an intersection of neighborhoods and A
-the common neighborhood of B, so the pairs are read off the closed sets
-without growing A one element at a time.
+within the power range it steps through the residues x^k ≡ n (mod a),
+found by one O(a) scan of the classes mod a; above it but below the
+height it reads its cofactors from one divisor table of the values
+x^k - n, built once per (k, n, height); a point query at or above the
+height tests each x directly.  Each search builds the row of every
+multiplier once and reads it from there.  Tuple search is depth-first
+extension over intersected candidate sets; an exact gap-principle floor
+cross-checks every deep extension.  Bipartite search enumerates closed
+partner sets: by the symmetry of a*b + n = x^k, every A-side-maximal pair
+(A, B) has B an intersection of neighborhoods and A the common
+neighborhood of B, so the pairs are read off the closed sets without
+growing A one element at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,13 +27,11 @@ from functools import lru_cache
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
                    gap_lower_bound)
 from .errors import InputError, InvariantViolation
-from .exact import integer_kth_root, trial_factor
+from .exact import integer_kth_root
 from .sieve import primes_up_to
 
 logger = logging.getLogger(__name__)
 
-# residue classes are found by direct scan up to here, by CRT above
-SCAN_LIMIT = 10 ** 6
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4
 
@@ -66,33 +65,10 @@ class SearchOutcome:
     truncated: bool
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    # m1, m2 coprime
-    inv = pow(m1, -1, m2)
-    return (r1 + (r2 - r1) * inv % m2 * m1) % (m1 * m2)
-
-
-@lru_cache(maxsize=1 << 15)
 def kth_power_residues(modulus: int, k: int, target: int) -> tuple[int, ...]:
-    """Sorted x mod modulus with x^k ≡ target (mod modulus)."""
+    """Sorted x mod modulus with x^k ≡ target (mod modulus), by direct scan."""
     target %= modulus
-    if modulus == 1:
-        return (0,)
-    if modulus <= SCAN_LIMIT:
-        return tuple(x for x in range(modulus) if pow(x, k, modulus) == target)
-    factors = [p ** e for p, e in trial_factor(modulus)]
-    if len(factors) == 1 or max(factors) > SCAN_LIMIT:
-        # prime-power too big to split; fall back to the full scan
-        return tuple(x for x in range(modulus) if pow(x, k, modulus) == target)
-    roots = [kth_power_residues(f, k, target % f) for f in factors]
-    out = []
-    for combo in itertools.product(*roots):
-        r, m = combo[0], factors[0]
-        for r2, m2 in zip(combo[1:], factors[1:]):
-            r = _crt_pair(r, m, r2, m2)
-            m *= m2
-        out.append(r)
-    return tuple(sorted(out))
+    return tuple(x for x in range(modulus) if pow(x, k, modulus) == target)
 
 
 def _factor_within(m: int, primes: list[int], N: int):
@@ -150,16 +126,15 @@ def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     return {a: tuple(bs) for a, bs in table.items()}
 
 
-@lru_cache(maxsize=1 << 15)
-def _candidates_single(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
+def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     """All b in [1, N] with a*b + n a k-th power of a positive integer.
 
     Three routes: a within the power range (a <= xmax) steps through the
-    residues x^k ≡ n (mod a); a above it reads its cofactors from the
-    power-side divisor table when a < N, and otherwise tests each x <= xmax
-    directly.  That point query serves a = N, which at k = 2 is often the
-    only multiplier above its power range and would not repay a table
-    build, and a > N from candidates_for.
+    residues x^k ≡ n (mod a), an O(a) scan; a above it reads its cofactors
+    from the power-side divisor table when a < N, and otherwise tests each
+    x <= xmax directly.  That point query serves a = N, which at k = 2 is
+    often the only multiplier above its power range and would not repay a
+    table build, and a > N from candidates_for.
     """
     limit = a * N + n
     if limit < 1:
@@ -168,9 +143,7 @@ def _candidates_single(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     if xmax < 1:
         return ()
     out = []
-    if a == 1:
-        xs = range(1, xmax + 1)
-    elif a > xmax:
+    if a > xmax:
         # fewer powers than residue classes
         if a < N:
             return _power_side_table(k, n, N).get(a, ())
@@ -189,6 +162,16 @@ def _candidates_single(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
             if b <= N:
                 out.append(b)
     return tuple(sorted(out))
+
+
+# candidates_for asks for the same multipliers over and over (criterion 3
+# sweeps 100 of them 99 times each); the searches build their rows once
+_candidates_single = lru_cache(maxsize=1 << 15)(_row)
+
+
+def _rows(k: int, n: int, N: int) -> list[tuple[int, ...]]:
+    """Row v is the candidate tuple of v for 1 <= v <= N; row 0 is empty."""
+    return [()] + [_row(v, k, n, N) for v in range(1, N + 1)]
 
 
 def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
@@ -244,7 +227,8 @@ def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
     Maximal means no single element <= height extends the tuple.  Output
     order is lexicographic.
     """
-    N, k, n = budget.height, config.k, config.n
+    N = budget.height
+    rows = _rows(config.k, config.n, N)
     found = []
 
     def extend(chain: list[int], cand: set[int]):
@@ -255,10 +239,10 @@ def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
                 found.append(tuple(chain))
             return
         for w in ext:
-            extend(chain + [w], cand & set(_candidates_single(w, k, n, N)))
+            extend(chain + [w], cand.intersection(rows[w]))
 
     for c1 in range(1, N + 1):
-        extend([c1], set(_candidates_single(c1, k, n, N)))
+        extend([c1], set(rows[c1]))
     return _outcome(found, budget.max_results,
                     lambda t: DiophantineTuple(config, t))
 
@@ -322,13 +306,12 @@ def search_bipartite(config: TupleConfig, budget: SearchBudget) -> SearchOutcome
     with N(a') for every a' reachable from it.  The cost is polynomial per
     closed B side instead of exponential in the largest neighborhood.
     """
-    N, k, n = budget.height, config.k, config.n
     min_a, min_b = budget.min_size, budget.min_partner
 
     # row v is N(v); every neighborhood lies in [1, N], so the rows cover
     # every element a B side can reach
-    partners = [frozenset()] + [frozenset(_candidates_single(v, k, n, N))
-                                for v in range(1, N + 1)]
+    partners = [frozenset(row) for row in
+                _rows(config.k, config.n, budget.height)]
     work = {B for B in partners if len(B) >= min_b}
     seen = set(work)
     found = set()

@@ -16,6 +16,10 @@ from typing import Iterable, Sequence
 from .errors import InputError
 from .exact import compare_value_to_power, is_prime, trial_factor
 
+# sieve_pipeline refuses a prime window Q above this (about 1.6 s and 72 MB
+# of sieving at Q near 10^7)
+SIEVE_WINDOW_CAP = 10 ** 7
+
 
 def euler_phi(k: int) -> int:
     if k < 1:
@@ -125,8 +129,10 @@ def sieve_pipeline(A: Sequence[int], n: int, k: int, L) -> PipelineResult:
     """Size up a set of candidate tuple elements below |n|^L via the sieve.
 
     Q = (4/k) (phi(k) L log|n|)^2 picks the prime window; the sieving primes
-    are those <= Q in the class 1 mod k and coprime to n.  Diagnostics expose
-    the log-weight sums against their asymptotic comparators.
+    are those <= Q in the class 1 mod k and coprime to n.  The sieve's time
+    and memory grow with Q, so a Q above SIEVE_WINDOW_CAP is rejected with
+    InputError before any sieving.  Diagnostics expose the log-weight sums
+    against their asymptotic comparators.
     """
     if abs(n) < 2:
         raise InputError("pipeline needs |n| >= 2")
@@ -137,8 +143,15 @@ def sieve_pipeline(A: Sequence[int], n: int, k: int, L) -> PipelineResult:
         raise InputError(f"height exponent must exceed 1/2, got {L}")
     phi = euler_phi(k)
     log_n = math.log(abs(n))
-    Lfloat = Lf.numerator / Lf.denominator
-    Q = (4 / k) * (phi * Lfloat * log_n) ** 2
+    try:
+        Lfloat = Lf.numerator / Lf.denominator
+        Q = (4 / k) * (phi * Lfloat * log_n) ** 2
+    except OverflowError:  # a window past the float range is past the cap
+        Q = math.inf
+    if Q > SIEVE_WINDOW_CAP:
+        raise InputError(
+            f"the prime window Q = {Q!r} of this pipeline is above the cap of "
+            f"{SIEVE_WINDOW_CAP}; lower L or |n|")
     cap = _ceil_power(abs(n), Lf)
     primes = primes_in_class(Q, k, n)
     diagnostics = {

@@ -214,6 +214,32 @@ def test_char_sum_single_and_sweep():
     assert len(lines) > 3
 
 
+def test_char_sum_sweep_bytes(capsys):
+    # one record per prime in every format; p = 7 has no exponent
+    want = {
+        "jsonl": (
+            '{"type": "char-sweep", "p": "3", "k": "2", "side": "1", '
+            '"zero_hits": "0", "magnitude": 1.0, "exponent": 0.0}\n'
+            '{"type": "char-sweep", "p": "5", "k": "2", "side": "2", '
+            '"zero_hits": "0", "magnitude": 2.0, '
+            '"exponent": -0.43067655807339306}\n'
+            '{"type": "char-sweep", "p": "7", "k": "2", "side": "2", '
+            '"zero_hits": "0", "magnitude": 0.0, "exponent": null}\n'),
+        "csv": ("p,k,side,zero_hits,magnitude,exponent\n"
+                "3,2,1,0,1.0,0.0\n"
+                "5,2,2,0,2.0,-0.43067655807339306\n"
+                "7,2,2,0,0.0,\n"),
+        "table": ("p  k  side  zero_hits  magnitude  exponent\n"
+                  "3  2  1     0          1.0        0.0\n"
+                  "5  2  2     0          2.0        -0.43067655807339306\n"
+                  "7  2  2     0          0.0\n"),
+    }
+    for fmt, text in want.items():
+        assert cli.main(["char-sum", "--k", "2", "--max-p", "8",
+                         "--format", fmt]) == 0
+        assert capsys.readouterr().out == text, fmt
+
+
 def test_thue_scan_record():
     code, out, _ = run_cli("thue-scan", "--a", "2", "--b", "1", "--k", "3",
                            "--c", "1", "--X", "1000")

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -175,28 +176,12 @@ def test_kth_power_residues_composite_anchor():
         x for x in range(625) if pow(x, 2, 625) == 4)
 
 
-@pytest.fixture
-def small_scan_limit(monkeypatch):
-    """Route moduli above 50 through the CRT split, with a cold cache."""
-    kth_power_residues.cache_clear()
-    monkeypatch.setattr(search, "SCAN_LIMIT", 50)
-    yield
-    kth_power_residues.cache_clear()
-
-
-def test_kth_power_residues_crt_path(small_scan_limit, monkeypatch):
-    crt_calls = 0
-    crt_pair = search._crt_pair
-
-    def counting_crt_pair(*args):
-        nonlocal crt_calls
-        crt_calls += 1
-        return crt_pair(*args)
-
-    monkeypatch.setattr(search, "_crt_pair", counting_crt_pair)
+def test_kth_power_residues_vs_nthroot_mod():
+    # the prime power 64 = 2^6, 106 = 2 * 53, and moduli with two or three
+    # prime-power factors; sympy's nthroot_mod is an independent route
     rng = random.Random(11)
-    # two or three coprime prime-power factors of at most 50 each
-    moduli = [66, 72, 77, 100, 105, 221, 240, 360, 441, 735, 864, 900, 2021]
+    moduli = [64, 66, 72, 77, 100, 105, 106, 221, 240, 360, 441, 735, 864,
+              900, 2021]
     for m in moduli:
         for k in range(2, 7):
             if m <= 120:
@@ -207,15 +192,8 @@ def test_kth_power_residues_crt_path(small_scan_limit, monkeypatch):
                            + [rng.randrange(-m, m) for _ in range(10)])
             for t in targets:
                 got = kth_power_residues(m, k, t)
-                want = tuple(x for x in range(m) if pow(x, k, m) == t % m)
-                assert got == want, (m, k, t)
-                assert list(got) == nthroot_mod(t % m, k, m, all_roots=True)
-    assert crt_calls
-    # a prime-power factor above the limit falls back to the full scan
-    for m in (64, 106):
-        for t in range(m):
-            assert kth_power_residues(m, 3, t) == tuple(
-                x for x in range(m) if pow(x, 3, m) == t)
+                assert list(got) == nthroot_mod(t % m, k, m, all_roots=True), \
+                    (m, k, t)
 
 
 # --------------------------------------------------------------- candidates
@@ -237,9 +215,9 @@ def test_candidates_errors():
 
 
 def test_candidates_single_all_paths_vs_naive():
-    # a == 1, a within the power range, a beyond it up to the height, and
-    # a beyond the height are separate code paths; all must agree with the
-    # definitional loop
+    # a within the power range (a == 1 among them, with the single residue
+    # class mod 1), a beyond it up to the height, and a beyond the height
+    # are separate code paths; all must agree with the definitional loop
     for a, k, n, N in [
         (1, 3, 1, 300),
         (8, 3, 1, 10_000),  # residue stepping (a <= xmax)
@@ -327,6 +305,26 @@ def test_candidates_anti_monotone():
         big = set(candidates_for(base, cfg, 500))
         small = set(candidates_for(base + [extra], cfg, 500))
         assert small <= big
+
+
+def test_each_search_builds_every_row_once(monkeypatch):
+    # a search builds the row of every v in 1..N once, straight from the
+    # row function, and leaves candidates_for's cache as it was
+    calls = Counter()
+    row = search._row
+
+    def counting_row(a, k, n, N):
+        calls[a, k, n, N] += 1
+        return row(a, k, n, N)
+
+    monkeypatch.setattr(search, "_row", counting_row)
+    _candidates_single.cache_clear()
+    cfg, N = TupleConfig(k=3, n=1), 257
+    for run in (search_tuples, search_bipartite):
+        calls.clear()
+        assert run(cfg, SearchBudget(height=N, min_partner=1)).results
+        assert calls == Counter({(v, 3, 1, N): 1 for v in range(1, N + 1)})
+        assert _candidates_single.cache_info().currsize == 0
 
 
 # ------------------------------------------------------------ tuple search

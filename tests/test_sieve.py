@@ -187,6 +187,35 @@ def test_pipeline_diagnostics_keys_and_drag():
         sum(math.log(p) for p in res.primes), rel=1e-12)
 
 
+def test_pipeline_window_cap(monkeypatch, capsys):
+    # a window above the cap is refused before any prime is sieved or the
+    # exact cap is computed
+    import diotuple.cli as cli
+
+    calls = []
+    sieve_primes, ceil_power = sieve.primes_up_to, sieve._ceil_power
+    monkeypatch.setattr(sieve, "primes_up_to",
+                        lambda *a: calls.append("sieve") or sieve_primes(*a))
+    monkeypatch.setattr(sieve, "_ceil_power",
+                        lambda *a: calls.append("cap") or ceil_power(*a))
+    # |n| = 10^400 at L = 3/2 gives Q near 1.02 * 10^7
+    assert sieve.SIEVE_WINDOW_CAP == 10 ** 7
+    assert cli.main(["sieve", "--set", "2,9", "--n", str(10 ** 400),
+                     "--k", "3", "--L", "3/2"]) == 1
+    assert "cap of 10000000;" in capsys.readouterr().err
+    # Q = 113.1... for (n, k, L) = (100, 3, 1)
+    monkeypatch.setattr(sieve, "SIEVE_WINDOW_CAP", 113)
+    with pytest.raises(InputError, match=r"Q = 113\.1.* cap of 113;"):
+        sieve_pipeline([2, 9, 28], 100, 3, 1)
+    assert calls == []
+    monkeypatch.setattr(sieve, "SIEVE_WINDOW_CAP", 114)
+    assert sieve_pipeline([2, 9, 28], 100, 3, 1).primes[-1] == 109
+    assert calls == ["cap", "sieve"]
+    # a window beyond the float range is refused, not overflowed
+    with pytest.raises(InputError, match=r"Q = inf "):
+        sieve_pipeline([2, 9], 100, 3, 10 ** 200)
+
+
 def test_pipeline_errors():
     with pytest.raises(InputError):
         sieve_pipeline([1], 1, 3, 1)  # |n| < 2
