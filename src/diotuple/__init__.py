@@ -27,9 +27,9 @@ _EXPORTS = {
              "gap_lower_bound", "growth_exponents", "verify_bipartite",
              "verify_tuple"),
     "errors": ("HypothesisError", "InputError", "InvariantViolation"),
-    "exact": ("compare_value_to_power", "format_natural", "format_rational",
-              "integer_kth_root", "is_perfect_kth_power", "is_prime",
-              "parse_natural", "parse_rational", "trial_factor"),
+    "exact": ("compare_value_to_power", "format_rational", "integer_kth_root",
+              "is_perfect_kth_power", "is_prime", "parse_natural",
+              "parse_rational", "trial_factor"),
     "ff": ("CharacterSumResult", "CliqueScanResult", "FieldConfig",
            "FieldScanResult", "char_sum", "ff_scan_bipartite", "ff_scan_clique",
            "ff_verify", "power_classes", "primitive_root"),

@@ -1,9 +1,10 @@
 """Exact integer and rational primitives.
 
-Arbitrary-precision k-th roots, perfect-power tests, canonical decimal and
-fraction string forms, trial-division factoring, and a deterministic
-primality test for word-sized integers.  Floats appear only as Newton seeds
-or behind a guard band; every answer is settled in exact arithmetic.
+Arbitrary-precision k-th roots, perfect-power tests, strict decimal and
+fraction parsers, the canonical fraction form, trial-division factoring,
+and a deterministic primality test for word-sized integers.  Floats appear
+only as Newton seeds or behind a guard band; every answer is settled in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -63,12 +64,6 @@ def is_perfect_kth_power(m: int, k: int) -> int | None:
         return None
     r = integer_kth_root(m, k)
     return r if r ** k == m else None
-
-
-def format_natural(value: int) -> str:
-    if value < 0:
-        raise InputError(f"natural expected, got {value}")
-    return str(value)
 
 
 def parse_natural(text: str) -> int:
@@ -131,6 +126,8 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True  # a composite below 41^2 has a prime factor below 41
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -115,18 +117,22 @@ def _partner_rows(config: FieldConfig) -> list[int]:
     """rows[a] = bitmask of the b in [1, p-1] with a*b + lam in the power
     classes or at 0, for a in [1, p-1]; bit a is kept and rows[0] = 0.
 
-    Built by rows: b is a partner of a iff b lies in a^-1 ((S_k u {0}) - lam),
-    so a row costs one shift per allowed value instead of p - 1 tests.
+    Bit b of row a is ind[a*b mod p], where ind[x] says whether x + lam lies
+    in S_k u {0}, so row 1 is ind itself.  For a generator g, bit b of row
+    a*g is bit g*b mod p of row a: the next row along the powers of g is the
+    stride-g slice of the current row's bits repeated g times.  A row costs
+    one slice and one base-2 parse of p characters, in a buffer of g*p bytes.
     """
     p, lam = config.p, config.lam
-    shifted = [(s - lam) % p for s in power_classes(p, config.k) | {0}]
+    good = power_classes(p, config.k) | {0}
+    bits = bytes(48 + ((x + lam) % p in good) for x in range(p))  # b"0", b"1"
+    g = primitive_root(p)
     rows = [0] * p
-    for a in range(1, p):
-        a_inv = pow(a, -1, p)
-        row = 0
-        for s in shifted:
-            row |= 1 << (s * a_inv % p)
-        rows[a] = row & ~1
+    a = 1
+    for _ in range(p - 1):
+        rows[a] = int(bits[::-1], 2) & ~1
+        bits = (bits * g)[::g]
+        a = a * g % p
     return rows
 
 
@@ -306,6 +312,27 @@ def _clique_search(adj: list[int], cands: int, best: int, stop: int,
     return best, witness
 
 
+def _shift_class_rep(p: int, k: int, lam: int) -> int:
+    """The least shift in lam * S_m, m = lcm(2, k): the shifts of this
+    class have isomorphic graphs.
+
+    For u^2 in S_k, a -> u*a maps the graph of lam onto the graph of
+    u^2 lam, since (ua)(ub) + u^2 lam = u^2 (ab + lam) and S_k u {0} is
+    closed under multiplication by u^2.  The squares in S_k are S_m.
+    """
+    e = (p - 1) // math.lcm(2, k)
+    lam_inv = pow(lam, -1, p)
+    return next(x for x in range(1, lam + 1) if pow(x * lam_inv, e, p) == 1)
+
+
+@lru_cache(maxsize=1024)
+def _clique_number(p: int, k: int, lam: int) -> int:
+    """Pass 1 of ff_scan_clique: the clique number of the graph of lam,
+    proved by the search with the root mirror."""
+    adj = _clique_graph(FieldConfig(p, k, lam))
+    return _clique_search(adj, (1 << p) - 2, 0, p, True)[0]
+
+
 def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
     """Exact maximum size of a set with every pairwise product shifted into
     the power classes, checked against sqrt(2(p-1)/k) + 4.
@@ -323,14 +350,16 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
       prunes at least what the plain search's smaller records pruned, and
       never a branch that holds a w-clique, so the first w-clique it reaches
       is the plain search's witness.
+
+    Shifts of one class share w (see _shift_class_rep), so pass 1 runs once
+    per class and process, on the graph of the class's least shift.
     """
     p, k, lam = config.p, config.k, config.lam
     if p > CLIQUE_CAP:
         raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
-    adj = _clique_graph(config)
-    everyone = (1 << p) - 2
-    omega, _ = _clique_search(adj, everyone, 0, p, True)
-    best, witness = _clique_search(adj, everyone, omega - 1, omega, False)
+    omega = _clique_number(p, k, _shift_class_rep(p, k, lam))
+    best, witness = _clique_search(_clique_graph(config), (1 << p) - 2,
+                                   omega - 1, omega, False)
     if best != omega:
         raise InvariantViolation(
             f"clique replay found size {best}, not {omega}, at p={p} k={k} "
@@ -374,6 +403,36 @@ def dlog_table(config: FieldConfig) -> list[int]:
     return table
 
 
+def _packed_sums(sa: set[int], sb: set[int]) -> Iterable[tuple[int, int]]:
+    """(s, number of pairs (a, b) with a + b = s) for every integer s from
+    min(A) + min(B) to max(A) + max(B), from one packed big integer.
+
+    The larger set's indicator sits in slots of w bits, w a whole number of
+    bytes with 2^w above the smaller set's size.  One shifted copy per
+    element of the smaller set is added, so slot i counts the pairs with
+    a + b = i + min(A) + min(B), and no slot overflows into the next.
+    """
+    large, small = (sa, sb) if len(sa) >= len(sb) else (sb, sa)
+    slot = next(t for t in "BHIQ"
+                if array(t).itemsize * 8 >= len(small).bit_length())
+    size = array(slot).itemsize
+    lo_l, lo_s = min(large), min(small)
+    width = max(large) - lo_l + 1
+    ind = bytearray(size * width)
+    for x in large:
+        ind[size * (x - lo_l)] = 1
+    packed = int.from_bytes(ind, "little")
+    total = 0
+    for x in small:
+        total += packed << (8 * size * (x - lo_s))
+    coef = array(slot)
+    coef.frombytes(total.to_bytes(size * (width + max(small) - lo_s),
+                                  "little"))
+    if sys.byteorder == "big":
+        coef.byteswap()
+    return enumerate(coef, lo_l + lo_s)
+
+
 def char_sum(A: Iterable[int], B: Iterable[int],
              config: FieldConfig) -> CharacterSumResult:
     """Sum the order-k character over all pairwise sums a + b.
@@ -381,6 +440,9 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     Values are carried as exponents mod k; only the final magnitude touches
     floating point, so full cancellation is detected exactly (all classes
     equally filled => magnitude is 0.0, not an epsilon).
+    Dense inputs, with |A||B| >= span(A) + span(B) where span = max - min
+    + 1, count the sums in one packed big-integer pass (_packed_sums);
+    sparser ones count pair by pair, which is faster for them.
     """
     p, k = config.p, config.k
     sa, sb = set(A), set(B)
@@ -393,13 +455,21 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     table = dlog_table(config)
     counts = [0] * k
     zero_hits = 0
-    for a in sa:
-        for b in sb:
-            s = (a + b) % p
-            if s == 0:
-                zero_hits += 1
+    if len(sa) * len(sb) >= max(sa) - min(sa) + max(sb) - min(sb) + 2:
+        for s, c in _packed_sums(sa, sb):
+            s %= p
+            if s:
+                counts[table[s] % k] += c
             else:
-                counts[table[s] % k] += 1
+                zero_hits += c
+    else:
+        for a in sa:
+            for b in sb:
+                s = (a + b) % p
+                if s == 0:
+                    zero_hits += 1
+                else:
+                    counts[table[s] % k] += 1
     floor = min(counts)
     if max(counts) == floor:
         magnitude = 0.0

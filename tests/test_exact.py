@@ -12,7 +12,6 @@ from sympy import integer_nthroot
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import (
     compare_value_to_power,
-    format_natural,
     format_rational,
     integer_kth_root,
     is_perfect_kth_power,
@@ -99,10 +98,8 @@ def test_is_perfect_kth_power_random_roundtrip():
 
 def test_natural_round_trip():
     for v in (0, 1, 7, 10**40):
-        assert parse_natural(format_natural(v)) == v
+        assert parse_natural(str(v)) == v
     assert parse_natural("  42 ") == 42
-    with pytest.raises(InputError):
-        format_natural(-3)
     with pytest.raises(InputError):
         parse_natural("-3")
     with pytest.raises(InputError):

@@ -5,10 +5,13 @@ import itertools
 import logging
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diotuple import ff
 from diotuple.errors import InputError, InvariantViolation
@@ -387,14 +390,32 @@ def test_ff_scan_clique_matches_single_pass_search_large(p, lam):
     assert ff_scan_clique(cfg) == reference_scan_clique(cfg)
 
 
+def test_clique_number_is_shared_by_shift_class():
+    # a -> u*a maps the graph of lam onto the graph of u^2 lam for u^2 in
+    # S_k, so every shift in lam * S_lcm(2,k) has the clique number of the
+    # class's least shift, which is the one pass 1 searches
+    for p in primes_up_to(59):
+        for k in range(2, p):
+            if (p - 1) % k:
+                continue
+            squares_in_sk = power_classes(p, math.lcm(2, k))
+            for lam in range(1, p):
+                rep = min(lam * u % p for u in squares_in_sk)
+                assert ff._shift_class_rep(p, k, lam) == rep, (p, k, lam)
+                own = ff._clique_number.__wrapped__(p, k, lam)  # uncached
+                assert own == ff_scan_clique(FieldConfig(p, k, rep)).max_size
+                assert own == ff_scan_clique(FieldConfig(p, k, lam)).max_size
+
+
 def test_ff_scan_clique_replay_must_reach_the_proved_size(monkeypatch):
-    search = ff._clique_search
+    # pass 1 is cached per shift class, so the overstatement is patched
+    # into the cached function itself, whatever earlier tests left in it
+    number = ff._clique_number
 
-    def overstated(adj, cands, best, stop, mirror):
-        size, witness = search(adj, cands, best, stop, mirror)
-        return (size + 1, witness) if mirror else (size, witness)
+    def overstated(p, k, lam):
+        return number(p, k, lam) + 1
 
-    monkeypatch.setattr(ff, "_clique_search", overstated)
+    monkeypatch.setattr(ff, "_clique_number", overstated)
     with pytest.raises(InvariantViolation):
         ff_scan_clique(FieldConfig(13, 3, 1))
 
@@ -418,6 +439,62 @@ def test_char_sum_zero_hits():
     assert r.zero_hits == 1
     assert r.counts == (0, 0, 0)
     assert r.magnitude == 0.0 and r.exponent is None
+
+
+def pair_loop_counts(A, B, config):
+    """The character counts and zero hits, pair by pair.  Test-only oracle
+    for the packed count of the sums."""
+    p, k = config.p, config.k
+    table = dlog_table(config)
+    counts = [0] * k
+    zero_hits = 0
+    for a in set(A):
+        for b in set(B):
+            if (a + b) % p:
+                counts[table[(a + b) % p] % k] += 1
+            else:
+                zero_hits += 1
+    return tuple(counts), zero_hits
+
+
+@st.composite
+def sum_inputs(draw):
+    """A field and two sides, each a random sample of a window of random
+    width, so that both sides of the density rule come up; 0, p - 1 and
+    repeated elements included."""
+    p = draw(st.sampled_from([q for q in primes_up_to(200) if q > 2])
+             | st.just(9973))
+    k = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def side():
+        lo = draw(st.integers(0, p - 1))
+        hi = min(p - 1, lo + draw(st.sampled_from([3, 30, 300, p])))
+        size = draw(st.sampled_from([1, 3, 30, 300]))
+        inner = rng.sample(range(lo, hi + 1), min(size, hi - lo + 1))
+        ends = draw(st.lists(st.sampled_from([0, p - 1]), max_size=2))
+        return inner + ends + inner[:draw(st.integers(0, 3))]
+
+    return p, k, side(), side()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sum_inputs())
+@example((13, 3, [0, 12], [1, 5, 12]))  # sparse: 2 * 3 < 13 + 12
+@example((13, 3, list(range(13)) * 2, [0, 12, 12]))  # dense: 39 >= 13 + 13
+@example((9973, 2, [0, 9972], list(range(0, 9973, 7))))
+# 300 pairs sum to 299: the slots need more than one byte
+@example((9973, 3, list(range(300)), list(range(300))))
+def test_char_sum_counts_match_pair_loop(case):
+    p, k, A, B = case
+    config = FieldConfig(p, k)
+    r = char_sum(A, B, config)
+    assert (r.counts, r.zero_hits) == pair_loop_counts(A, B, config)
+    # the packed pass alone, whatever the density rule picks
+    sums = Counter(a + b for a in set(A) for b in set(B))
+    packed = dict(ff._packed_sums(set(A), set(B)))
+    assert {s: c for s, c in packed.items() if c} == sums
+    assert min(packed) == min(sums) and max(packed) == max(sums)
 
 
 def test_char_sum_orthogonality_exact_zero():
