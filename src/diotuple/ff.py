@@ -24,6 +24,7 @@ logger = logging.getLogger(__name__)
 
 DLOG_CAP = 10 ** 6
 CLIQUE_CAP = 500
+CLASS_OMEGA_CAP = 1024  # shift classes whose clique number is kept
 BIPARTITE_SIDE_CAP = 6
 
 
@@ -325,12 +326,13 @@ def _shift_class_rep(p: int, k: int, lam: int) -> int:
     return next(x for x in range(1, lam + 1) if pow(x * lam_inv, e, p) == 1)
 
 
-@lru_cache(maxsize=1024)
-def _clique_number(p: int, k: int, lam: int) -> int:
-    """Pass 1 of ff_scan_clique: the clique number of the graph of lam,
-    proved by the search with the root mirror."""
-    adj = _clique_graph(FieldConfig(p, k, lam))
+def _clique_number(adj: list[int], p: int) -> int:
+    """Pass 1 of ff_scan_clique: the clique number of the graph adj over
+    F_p, proved by the search with the root mirror."""
     return _clique_search(adj, (1 << p) - 2, 0, p, True)[0]
+
+
+_class_omega: dict[tuple[int, int, int], int] = {}  # (p, k, class rep) -> w
 
 
 def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
@@ -352,14 +354,22 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
       is the plain search's witness.
 
     Shifts of one class share w (see _shift_class_rep), so pass 1 runs once
-    per class and process, on the graph of the class's least shift.
+    per class and process, on the graph of the first shift of the class
+    scanned; the last CLASS_OMEGA_CAP classes are kept.
     """
     p, k, lam = config.p, config.k, config.lam
     if p > CLIQUE_CAP:
         raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
-    omega = _clique_number(p, k, _shift_class_rep(p, k, lam))
-    best, witness = _clique_search(_clique_graph(config), (1 << p) - 2,
-                                   omega - 1, omega, False)
+    adj = _clique_graph(config)
+    key = (p, k, _shift_class_rep(p, k, lam))
+    omega = _class_omega.get(key)
+    if omega is None:
+        omega = _clique_number(adj, p)
+        if len(_class_omega) >= CLASS_OMEGA_CAP:
+            del _class_omega[next(iter(_class_omega))]
+        _class_omega[key] = omega
+    best, witness = _clique_search(adj, (1 << p) - 2, omega - 1, omega,
+                                   False)
     if best != omega:
         raise InvariantViolation(
             f"clique replay found size {best}, not {omega}, at p={p} k={k} "
@@ -440,9 +450,9 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     Values are carried as exponents mod k; only the final magnitude touches
     floating point, so full cancellation is detected exactly (all classes
     equally filled => magnitude is 0.0, not an epsilon).
-    Dense inputs, with |A||B| >= span(A) + span(B) where span = max - min
-    + 1, count the sums in one packed big-integer pass (_packed_sums);
-    sparser ones count pair by pair, which is faster for them.
+    The counts of each sum come from one packed big-integer pass
+    (_packed_sums), whose work grows with the smaller set's size times
+    span(A) + span(B), span = max - min + 1.
     """
     p, k = config.p, config.k
     sa, sb = set(A), set(B)
@@ -455,21 +465,12 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     table = dlog_table(config)
     counts = [0] * k
     zero_hits = 0
-    if len(sa) * len(sb) >= max(sa) - min(sa) + max(sb) - min(sb) + 2:
-        for s, c in _packed_sums(sa, sb):
-            s %= p
-            if s:
-                counts[table[s] % k] += c
-            else:
-                zero_hits += c
-    else:
-        for a in sa:
-            for b in sb:
-                s = (a + b) % p
-                if s == 0:
-                    zero_hits += 1
-                else:
-                    counts[table[s] % k] += 1
+    for s, c in _packed_sums(sa, sb):
+        s %= p
+        if s:
+            counts[table[s] % k] += c
+        else:
+            zero_hits += c
     floor = min(counts)
     if max(counts) == floor:
         magnitude = 0.0

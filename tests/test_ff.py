@@ -392,8 +392,8 @@ def test_ff_scan_clique_matches_single_pass_search_large(p, lam):
 
 def test_clique_number_is_shared_by_shift_class():
     # a -> u*a maps the graph of lam onto the graph of u^2 lam for u^2 in
-    # S_k, so every shift in lam * S_lcm(2,k) has the clique number of the
-    # class's least shift, which is the one pass 1 searches
+    # S_k, so every shift in lam * S_lcm(2,k) has the clique number that
+    # pass 1 proves on the graph of whichever shift of the class comes first
     for p in primes_up_to(59):
         for k in range(2, p):
             if (p - 1) % k:
@@ -402,22 +402,32 @@ def test_clique_number_is_shared_by_shift_class():
             for lam in range(1, p):
                 rep = min(lam * u % p for u in squares_in_sk)
                 assert ff._shift_class_rep(p, k, lam) == rep, (p, k, lam)
-                own = ff._clique_number.__wrapped__(p, k, lam)  # uncached
+                adj = _clique_graph(FieldConfig(p, k, lam))
+                own = ff._clique_number(adj, p)  # uncached
                 assert own == ff_scan_clique(FieldConfig(p, k, rep)).max_size
                 assert own == ff_scan_clique(FieldConfig(p, k, lam)).max_size
 
 
 def test_ff_scan_clique_replay_must_reach_the_proved_size(monkeypatch):
-    # pass 1 is cached per shift class, so the overstatement is patched
-    # into the cached function itself, whatever earlier tests left in it
+    # pass 1 is cached per shift class: empty the cache so that the
+    # overstated pass 1 runs, whatever earlier tests left in it
     number = ff._clique_number
 
-    def overstated(p, k, lam):
-        return number(p, k, lam) + 1
+    def overstated(adj, p):
+        return number(adj, p) + 1
 
+    monkeypatch.setattr(ff, "_class_omega", {})
     monkeypatch.setattr(ff, "_clique_number", overstated)
     with pytest.raises(InvariantViolation):
         ff_scan_clique(FieldConfig(13, 3, 1))
+
+
+def test_clique_number_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(ff, "_class_omega", {})
+    monkeypatch.setattr(ff, "CLASS_OMEGA_CAP", 2)
+    for lam in (1, 2, 3):  # three classes at p = 13, k = 3: S_6 = {1, 12}
+        ff_scan_clique(FieldConfig(13, 3, lam))
+    assert list(ff._class_omega) == [(13, 3, 2), (13, 3, 3)]
 
 
 def test_ff_scan_clique_cap():
@@ -460,7 +470,7 @@ def pair_loop_counts(A, B, config):
 @st.composite
 def sum_inputs(draw):
     """A field and two sides, each a random sample of a window of random
-    width, so that both sides of the density rule come up; 0, p - 1 and
+    width, so that both sparse and dense sides come up; 0, p - 1 and
     repeated elements included."""
     p = draw(st.sampled_from([q for q in primes_up_to(200) if q > 2])
              | st.just(9973))
@@ -480,8 +490,8 @@ def sum_inputs(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(sum_inputs())
-@example((13, 3, [0, 12], [1, 5, 12]))  # sparse: 2 * 3 < 13 + 12
-@example((13, 3, list(range(13)) * 2, [0, 12, 12]))  # dense: 39 >= 13 + 13
+@example((13, 3, [0, 12], [1, 5, 12]))
+@example((13, 3, list(range(13)) * 2, [0, 12, 12]))
 @example((9973, 2, [0, 9972], list(range(0, 9973, 7))))
 # 300 pairs sum to 299: the slots need more than one byte
 @example((9973, 3, list(range(300)), list(range(300))))
@@ -490,7 +500,7 @@ def test_char_sum_counts_match_pair_loop(case):
     config = FieldConfig(p, k)
     r = char_sum(A, B, config)
     assert (r.counts, r.zero_hits) == pair_loop_counts(A, B, config)
-    # the packed pass alone, whatever the density rule picks
+    # the packed sums before they are folded mod p
     sums = Counter(a + b for a in set(A) for b in set(B))
     packed = dict(ff._packed_sums(set(A), set(B)))
     assert {s: c for s, c in packed.items() if c} == sums
