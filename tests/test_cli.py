@@ -240,6 +240,111 @@ def test_char_sum_sweep_bytes(capsys):
         assert capsys.readouterr().out == text, fmt
 
 
+_BOUND_ANCHORS = {
+    "bipartite-side": "r_k+1 if |n|=1 else max{(loglog|n|+3.3)/log(k-1)+8, "
+                      "(max{4n^2,|n|^(2(k+1)/(k-2))}+n)^(1/k)+20}",
+    "tuple-size-closed": "2^(1/k)|n|^(2/(k-2))+16",
+    "tuple-size-small-regime": "closed bound <= 19 once |n|>=2 and "
+                               "k >= 2log|n|+2",
+    "tail-term": "3(log18-logL)/(log(k-1)-log(3+k/L-k))+12",
+    "tuple-size-parametric": "(|n|^(2L)+n)^(1/k)+T(k,L)+1",
+}
+
+_PINNED_STDOUT = {
+    ("constants", "--k", "3", "--format", "jsonl"): (
+        '{"type": "constants", "k": "3", "r": "9", "s": "6", '
+        '"t": "15399/938", "u": "15", "alpha": "9/1", "beta": "5761/5"}\n'),
+    ("constants", "--k", "3", "--format", "csv"): (
+        "k,r,s,t,u,alpha,beta\n"
+        "3,9,6,15399/938,15,9/1,5761/5\n"),
+    ("constants", "--k", "3", "--format", "table"): (
+        "k  r  s  t          u   alpha  beta\n"
+        "3  9  6  15399/938  15  9/1    5761/5\n"),
+    ("bound", "--n", "7", "--k", "6", "--L", "5/4", "--format", "jsonl"): (
+        '{"type": "bound", "name": "bipartite-side", '
+        '"parameters": {"n": "7", "k": "6"}, "value": 23.11551639118127, '
+        '"exact": false, "anchor": "' + _BOUND_ANCHORS["bipartite-side"]
+        + '"}\n'
+        '{"type": "bound", "name": "tuple-size-closed", '
+        '"parameters": {"n": "7", "k": "6"}, "value": 18.96975543593477, '
+        '"exact": false, "anchor": "' + _BOUND_ANCHORS["tuple-size-closed"]
+        + '"}\n'
+        '{"type": "bound", "name": "tuple-size-small-regime", '
+        '"parameters": {"n": "7", "k": "6"}, "value": "19/1", '
+        '"exact": true, "anchor": "'
+        + _BOUND_ANCHORS["tuple-size-small-regime"] + '"}\n'
+        '{"type": "bound", "name": "tail-term", '
+        '"parameters": {"k": "6", "L": "5/4"}, "value": 19.832109674485945, '
+        '"exact": false, "anchor": "' + _BOUND_ANCHORS["tail-term"] + '"}\n'
+        '{"type": "bound", "name": "tuple-size-parametric", '
+        '"parameters": {"n": "7", "k": "6", "L": "5/4"}, '
+        '"value": 23.101611849424195, "exact": false, "anchor": "'
+        + _BOUND_ANCHORS["tuple-size-parametric"] + '"}\n'
+        '{"type": "bound", "name": "large-exponent-main", '
+        '"parameters": {"k": "6"}, "value": "29/24", "exact": true, '
+        '"anchor": "t_k/k"}\n'
+        '{"type": "bound", "name": "large-exponent-secondary", '
+        '"parameters": {"k": "6"}, "value": "1/4", "exact": true, '
+        '"anchor": "1/(k-2)"}\n'),
+    ("bound", "--n", "7", "--k", "6", "--L", "5/4", "--format", "csv"): (
+        "name,parameters,value,exact,anchor\n"
+        'bipartite-side,n=7 k=6,23.11551639118127,false,"'
+        + _BOUND_ANCHORS["bipartite-side"] + '"\n'
+        "tuple-size-closed,n=7 k=6,18.96975543593477,false,"
+        + _BOUND_ANCHORS["tuple-size-closed"] + "\n"
+        "tuple-size-small-regime,n=7 k=6,19/1,true,"
+        + _BOUND_ANCHORS["tuple-size-small-regime"] + "\n"
+        "tail-term,k=6 L=5/4,19.832109674485945,false,"
+        + _BOUND_ANCHORS["tail-term"] + "\n"
+        'tuple-size-parametric,n=7 k=6 L=5/4,23.101611849424195,false,"'
+        + _BOUND_ANCHORS["tuple-size-parametric"] + '"\n'
+        "large-exponent-main,k=6,29/24,true,t_k/k\n"
+        "large-exponent-secondary,k=6,1/4,true,1/(k-2)\n"),
+    ("bound", "--n", "7", "--k", "6", "--L", "5/4", "--format", "table"): (
+        "name                      parameters     value               "
+        "exact  anchor\n"
+        "bipartite-side            n=7 k=6        23.11551639118127   "
+        "false  " + _BOUND_ANCHORS["bipartite-side"] + "\n"
+        "tuple-size-closed         n=7 k=6        18.96975543593477   "
+        "false  " + _BOUND_ANCHORS["tuple-size-closed"] + "\n"
+        "tuple-size-small-regime   n=7 k=6        19/1                "
+        "true   " + _BOUND_ANCHORS["tuple-size-small-regime"] + "\n"
+        "tail-term                 k=6 L=5/4      19.832109674485945  "
+        "false  " + _BOUND_ANCHORS["tail-term"] + "\n"
+        "tuple-size-parametric     n=7 k=6 L=5/4  23.101611849424195  "
+        "false  " + _BOUND_ANCHORS["tuple-size-parametric"] + "\n"
+        "large-exponent-main       k=6            29/24               "
+        "true   t_k/k\n"
+        "large-exponent-secondary  k=6            1/4                 "
+        "true   1/(k-2)\n"),
+    ("search-tuples", "--k", "3", "--n", "-1", "--N", "30"): "".join(
+        '{"type": "tuple", "k": "3", "n": "-1", '
+        f'"elements": ["{a}", "{b}"]}}\n'
+        for a, b in [(1, 2), (1, 9), (1, 28), (2, 14), (4, 7), (5, 13),
+                     (6, 21), (7, 18), (9, 14), (19, 27)])
+        + '{"type": "summary", "count": "10", "truncated": false}\n',
+    ("search-bipartite", "--k", "3", "--n", "1", "--N", "50",
+     "--minA", "1", "--minB", "2"): (
+        '{"type": "pair", "k": "3", "n": "1", "A": ["1"], '
+        '"B": ["7", "26"]}\n'
+        '{"type": "pair", "k": "3", "n": "1", "A": ["1", "9"], "B": ["7"]}\n'
+        '{"type": "pair", "k": "3", "n": "1", "A": ["1", "28"], '
+        '"B": ["26"]}\n'
+        '{"type": "pair", "k": "3", "n": "1", "A": ["7", "38"], "B": ["9"]}\n'
+        '{"type": "pair", "k": "3", "n": "1", "A": ["9", "35"], '
+        '"B": ["38"]}\n'
+        '{"type": "summary", "count": "5", "truncated": false}\n'),
+}
+
+
+def test_output_bytes_pinned(capsys):
+    # the wire form of the tabular subcommands in every format, and of the
+    # tuple and pair records
+    for argv, text in _PINNED_STDOUT.items():
+        assert cli.main(list(argv)) == 0, argv
+        assert capsys.readouterr().out == text, argv
+
+
 def test_thue_scan_record():
     code, out, _ = run_cli("thue-scan", "--a", "2", "--b", "1", "--k", "3",
                            "--c", "1", "--X", "1000")
