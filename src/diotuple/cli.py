@@ -94,6 +94,8 @@ def _emit(record: dict):
 
 
 def _cell(value) -> str:
+    if isinstance(value, dict):
+        return " ".join(f"{k}={_cell(v)}" for k, v in value.items())
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -105,7 +107,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_rows(fmt: str, header: list[str], rows: list[list]):
+def _emit_rows(fmt: str, kind: str, header: list[str], rows: list[list]):
+    """Write rows as one JSONL record of this kind each, as CSV, or as a table."""
+    if fmt == "jsonl":
+        for row in rows:
+            _emit({"type": kind, **dict(zip(header, row))})
+        return
     cells = [[_cell(v) for v in row] for row in rows]
     if fmt == "csv":
         import csv
@@ -128,26 +135,16 @@ def _cmd_constants(args) -> int:
     k = args.k
     tc = bounds.table_constants(k)
     alpha, beta = bounds.evertse_constants(k)
-    if args.format == "jsonl":
-        _emit({"type": "constants", "k": k, "r": tc.r, "s": tc.s, "t": tc.t,
-               "u": tc.u, "alpha": alpha, "beta": beta})
-    else:
-        _emit_rows(args.format, ["k", "r", "s", "t", "u", "alpha", "beta"],
-                   [[k, tc.r, tc.s, tc.t, tc.u, alpha, beta]])
+    _emit_rows(args.format, "constants", ["k", "r", "s", "t", "u", "alpha", "beta"],
+               [[k, tc.r, tc.s, tc.t, tc.u, alpha, beta]])
     return 0
 
 
 def _cmd_bound(args) -> int:
     from . import bounds
     reports = bounds.bound_reports(args.n, args.k, args.L)
-    if args.format == "jsonl":
-        for r in reports:
-            _emit({"type": "bound", **asdict(r)})
-    else:
-        rows = [[r.name,
-                 " ".join(f"{k}={v}" for k, v in r.parameters.items()),
-                 r.value, r.exact, r.anchor] for r in reports]
-        _emit_rows(args.format, ["name", "parameters", "value", "exact", "anchor"], rows)
+    _emit_rows(args.format, "bound", ["name", "parameters", "value", "exact", "anchor"],
+               [[r.name, r.parameters, r.value, r.exact, r.anchor] for r in reports])
     return 0
 
 
@@ -159,7 +156,7 @@ def _cmd_search_tuples(args) -> int:
                           max_results=args.max_results)
     outcome = search_tuples(config, budget)
     for t in outcome.results:
-        _emit({"type": "tuple", **t.to_dict()})
+        _emit({"type": "tuple", "k": args.k, "n": args.n, "elements": t.elements})
     _emit({"type": "summary", "count": len(outcome.results),
            "truncated": outcome.truncated})
     return 2 if outcome.truncated else 0
@@ -173,7 +170,7 @@ def _cmd_search_bipartite(args) -> int:
                           min_partner=args.minB, max_results=args.max_results)
     outcome = search_bipartite(config, budget)
     for p in outcome.results:
-        _emit({"type": "pair", **p.to_dict()})
+        _emit({"type": "pair", "k": args.k, "n": args.n, "A": p.A, "B": p.B})
     _emit({"type": "summary", "count": len(outcome.results),
            "truncated": outcome.truncated})
     return 2 if outcome.truncated else 0
@@ -249,9 +246,11 @@ def _sieve_audit(args) -> int:
 
 
 def _cmd_ff_scan(args) -> int:
+    if args.lam is not None and args.lam_max is not None:
+        raise InputError("give either --lam or --lam-max, not both")
     from . import ff
     results = []
-    for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam]:
+    for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam or 1]:
         config = ff.FieldConfig(args.p, args.k, lam)
         if args.mode == "bipartite":
             results.append(ff.ff_scan_bipartite(config, args.maxA))
@@ -274,9 +273,10 @@ def _cmd_ff_scan(args) -> int:
 def _cmd_char_sum(args) -> int:
     from . import ff
     if args.max_p is not None:
+        if args.p is not None or args.A is not None or args.B is not None:
+            raise InputError("give either --max-p or --p/--A/--B, not both")
         from . import sieve
-        header = ["p", "k", "side", "zero_hits", "magnitude", "exponent"]
-        recs = []
+        rows = []
         for p in sieve.primes_up_to(args.max_p):
             if p < 3 or (p - 1) % args.k != 0:
                 continue
@@ -284,13 +284,9 @@ def _cmd_char_sum(args) -> int:
             m = max(1, min(m, p - 1))
             config = ff.FieldConfig(p, args.k)
             r = ff.char_sum(range(1, m + 1), range(1, m + 1), config)
-            recs.append(dict(zip(header, (p, args.k, m, r.zero_hits,
-                                          r.magnitude, r.exponent))))
-        if args.format == "jsonl":
-            for rec in recs:
-                _emit({"type": "char-sweep", **rec})
-        else:
-            _emit_rows(args.format, header, [list(rec.values()) for rec in recs])
+            rows.append([p, args.k, m, r.zero_hits, r.magnitude, r.exponent])
+        _emit_rows(args.format, "char-sweep",
+                   ["p", "k", "side", "zero_hits", "magnitude", "exponent"], rows)
         return 0
     if args.p is None or args.A is None or args.B is None:
         raise InputError("char-sum needs --p, --A and --B (or --max-p for a sweep)")
@@ -373,7 +369,7 @@ def _build_parser() -> tuple[_Parser, dict]:
     sp = sub("ff-scan", _cmd_ff_scan, help="prime-field product-set scans")
     sp.add_argument("--p", type=positive, required=True)
     sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--lam", type=positive, default=1)
+    sp.add_argument("--lam", type=positive)
     sp.add_argument("--lam-max", type=positive,
                     help="sweep the shift over 1..M instead of --lam")
     sp.add_argument("--mode", choices=["bipartite", "clique"], required=True)
@@ -389,7 +385,9 @@ def _build_parser() -> tuple[_Parser, dict]:
                     help="sweep primes up to this bound with interval sets")
     sp.add_argument("--interval", type=positive,
                     help="interval length for the sweep (default: isqrt(p))")
-    sp.add_argument("--format", choices=["csv", "table", "jsonl"], default="csv")
+    sp.add_argument("--format", choices=["csv", "table", "jsonl"], default="csv",
+                    help="output format of the --max-p sweep; one explicit "
+                         "sum is always a JSONL record")
 
     sp = sub("thue-scan", _cmd_thue_scan,
              help="primitive solutions of a two-term power inequality")
@@ -425,16 +423,10 @@ def _inject_config(argv: list[str], registry: dict) -> list[str]:
             if key == "config":
                 raise InputError("config files cannot nest")
             action = option_map.get("--" + key)
-            if action is None:
+            if action is None or action.nargs == 0:
                 raise InputError(
                     f"unknown config key {key!r} for {argv[0]}")
-            if action.nargs == 0:
-                if value.lower() in ("true", "1", "yes"):
-                    extra.append("--" + key)
-                elif value.lower() not in ("false", "0", "no"):
-                    raise InputError(f"{key} takes true/false, got {value!r}")
-            else:
-                extra.extend(["--" + key, value])
+            extra.extend(["--" + key, value])
     return [argv[0]] + extra + rest
 
 

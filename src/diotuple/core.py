@@ -111,13 +111,6 @@ class DiophantineTuple:
                 f"not a D_{self.config.k}({self.config.n}) tuple: "
                 f"{a}*{b}+{self.config.n} = {v} is not a k-th power")
 
-    def to_dict(self) -> dict:
-        return {
-            "k": str(self.config.k),
-            "n": str(self.config.n),
-            "elements": [str(e) for e in self.elements],
-        }
-
 
 @dataclass(frozen=True)
 class BipartitePair:
@@ -150,14 +143,6 @@ class BipartitePair:
     @property
     def has_two_per_side(self) -> bool:
         return len(self.A) >= 2 and len(self.B) >= 2
-
-    def to_dict(self) -> dict:
-        return {
-            "k": str(self.config.k),
-            "n": str(self.config.n),
-            "A": [str(e) for e in self.A],
-            "B": [str(e) for e in self.B],
-        }
 
 
 def gap_lower_bound(a: int, c: int, config: TupleConfig) -> Fraction:

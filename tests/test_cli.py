@@ -60,6 +60,19 @@ def test_verify_rejects_mixed_modes():
     assert err
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["ff-scan", "--mode", "clique", "--p", "13", "--k", "3", "--lam", "5",
+      "--lam-max", "2"], ("--lam", "--lam-max")),
+    (["char-sum", "--k", "3", "--max-p", "20", "--p", "13", "--A", "1",
+      "--B", "2"], ("--max-p", "--A")),
+], ids=["ff-scan", "char-sum"])
+def test_mixed_modes_are_refused(argv, flags, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(flag in captured.err for flag in flags)
+
+
 def test_input_errors_exit_one():
     cases = [
         ("verify", "--k", "3", "--n", "0", "--tuple", "2,13"),  # zero shift
@@ -384,22 +397,14 @@ def test_config_unknown_key(tmp_path):
 
 
 def test_config_true_false_key(tmp_path):
-    # help is the one valueless flag: true adds it, false leaves it out
-    base = "k = 3\nn = -1\nN = 10\n"
+    # every config key names a flag that takes a value; help takes none
     cfg = tmp_path / "flag.conf"
-    cfg.write_text(base + "help = false\n")
-    code, out, _ = run_cli("search-tuples", "--config", str(cfg))
-    assert code == 0
-    assert records(out)[-1]["count"] == "3"
-    cfg.write_text(base + "help = TRUE\n")
-    code, out, _ = run_cli("search-tuples", "--config", str(cfg))
-    assert code == 0
-    assert out == run_cli("search-tuples", "--help")[1]
-    cfg.write_text(base + "help = maybe\n")
-    code, out, err = run_cli("search-tuples", "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert err == "error: help takes true/false, got 'maybe'\n"
+    for value in ("true", "false"):
+        cfg.write_text(f"k = 3\nn = -1\nN = 10\nhelp = {value}\n")
+        code, out, err = run_cli("search-tuples", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown config key 'help' for search-tuples\n"
 
 
 def test_exit_three_on_fabricated_violation(monkeypatch, capsys):

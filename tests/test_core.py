@@ -84,8 +84,6 @@ def test_tuple_object():
     cfg = TupleConfig(k=3, n=1)
     t = DiophantineTuple(cfg, (2, 13))
     assert t.elements == (2, 13)
-    d = t.to_dict()
-    assert d == {"k": "3", "n": "1", "elements": ["2", "13"]}
     with pytest.raises(InputError):
         DiophantineTuple(cfg, (2, 14))
 
@@ -96,8 +94,6 @@ def test_bipartite_pair_orientation():
     # canonical orientation: min(A) <= min(B)
     assert p.A == (2,) and p.B == (13,)
     assert not p.has_two_per_side
-    d = p.to_dict()
-    assert d == {"k": "3", "n": "1", "A": ["2"], "B": ["13"]}
     with pytest.raises(InputError):
         BipartitePair(cfg, A=(), B=(2,))
     with pytest.raises(InputError):
