@@ -73,6 +73,14 @@ def _arg(parse, *args):
     return convert
 
 
+def _refuse(args, flags: tuple[str, ...], where: str):
+    """Exit 1 if any of flags was given where the mode being run ignores it."""
+    given = [f for f in flags
+             if getattr(args, f.lstrip("-").replace("-", "_")) is not None]
+    if given:
+        raise InputError(f"{', '.join(given)} cannot be used {where}")
+
+
 def _jsonify(obj):
     """Wire form: ints as decimal strings, rationals as p/q, floats as-is."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
@@ -180,8 +188,7 @@ def _cmd_verify(args) -> int:
     from .core import TupleConfig, verify_bipartite, verify_tuple
     config = TupleConfig(args.k, args.n)
     if args.tuple is not None:
-        if args.A is not None or args.B is not None:
-            raise InputError("give either --tuple or --A/--B, not both")
+        _refuse(args, ("--A", "--B"), "with --tuple")
         elems = sorted(args.tuple)
         report = verify_tuple(elems, config)
         record = {"type": "verify", "target": "tuple", "k": args.k,
@@ -202,7 +209,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sieve(args) -> int:
     if args.audit is not None:
+        _refuse(args, ("--set", "--set-file", "--n", "--k", "--L"),
+                "with --audit")
         return _sieve_audit(args)
+    _refuse(args, ("--N", "--seed"), "without --audit")
+    if args.set is not None:
+        _refuse(args, ("--set-file",), "with --set")
     if args.n is None or args.k is None or args.L is None:
         raise InputError("sieve needs --n, --k and --L (or --audit)")
     if args.set is not None:
@@ -223,7 +235,8 @@ def _sieve_audit(args) -> int:
     import random
 
     from . import sieve
-    rng = random.Random(args.seed)
+    seed = 0 if args.seed is None else args.seed
+    rng = random.Random(seed)
     N = args.N or 10 ** 4
     pool = sieve.primes_up_to(1000)
     usable = violations = 0
@@ -241,19 +254,21 @@ def _sieve_audit(args) -> int:
                    "bound": ev.bound, "primes": sorted(P)})
             logger.error("sieve bound undercounted on trial %d", trial)
     _emit({"type": "audit-summary", "trials": args.audit, "usable": usable,
-           "violations": violations, "seed": args.seed})
+           "violations": violations, "seed": seed})
     return 3 if violations else 0
 
 
 def _cmd_ff_scan(args) -> int:
-    if args.lam is not None and args.lam_max is not None:
-        raise InputError("give either --lam or --lam-max, not both")
+    if args.lam_max is not None:
+        _refuse(args, ("--lam",), "with --lam-max")
+    if args.mode == "clique":
+        _refuse(args, ("--maxA",), "with --mode clique")
     from . import ff
     results = []
     for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam or 1]:
         config = ff.FieldConfig(args.p, args.k, lam)
         if args.mode == "bipartite":
-            results.append(ff.ff_scan_bipartite(config, args.maxA))
+            results.append(ff.ff_scan_bipartite(config, args.maxA or 3))
         else:
             results.append(ff.ff_scan_clique(config))
 
@@ -273,8 +288,9 @@ def _cmd_ff_scan(args) -> int:
 def _cmd_char_sum(args) -> int:
     from . import ff
     if args.max_p is not None:
-        if args.p is not None or args.A is not None or args.B is not None:
-            raise InputError("give either --max-p or --p/--A/--B, not both")
+        _refuse(args, ("--p", "--A", "--B", "--g"), "with --max-p")
+        if args.max_p > ff.CHAR_SUM_CAP:
+            raise InputError(f"--max-p capped at {ff.CHAR_SUM_CAP}")
         from . import sieve
         rows = []
         for p in sieve.primes_up_to(args.max_p):
@@ -288,6 +304,7 @@ def _cmd_char_sum(args) -> int:
         _emit_rows(args.format, "char-sweep",
                    ["p", "k", "side", "zero_hits", "magnitude", "exponent"], rows)
         return 0
+    _refuse(args, ("--interval",), "without --max-p")
     if args.p is None or args.A is None or args.B is None:
         raise InputError("char-sum needs --p, --A and --B (or --max-p for a sweep)")
     config = ff.FieldConfig(args.p, args.k, g=args.g or 0)
@@ -362,7 +379,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--set-file")
     sp.add_argument("--audit", type=positive,
                     help="run this many randomized soundness trials instead")
-    sp.add_argument("--seed", type=natural, default=0)
+    sp.add_argument("--seed", type=natural,
+                    help="seed of the audit trials (default 0)")
     sp.add_argument("--N", type=positive,
                     help="universe bound for audit trials (default 10000)")
 
@@ -373,7 +391,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     sp.add_argument("--lam-max", type=positive,
                     help="sweep the shift over 1..M instead of --lam")
     sp.add_argument("--mode", choices=["bipartite", "clique"], required=True)
-    sp.add_argument("--maxA", type=positive, default=3)
+    sp.add_argument("--maxA", type=positive,
+                    help="largest side of a bipartite scan (default 3)")
 
     sp = sub("char-sum", _cmd_char_sum, help="multiplicative character sums")
     sp.add_argument("--p", type=positive)

@@ -19,7 +19,6 @@ growing A one element at a time.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,8 +28,6 @@ from .core import (BipartitePair, DiophantineTuple, TupleConfig,
 from .errors import InputError, InvariantViolation
 from .exact import integer_kth_root
 from .sieve import primes_up_to
-
-logger = logging.getLogger(__name__)
 
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4

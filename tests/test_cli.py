@@ -65,12 +65,51 @@ def test_verify_rejects_mixed_modes():
       "--lam-max", "2"], ("--lam", "--lam-max")),
     (["char-sum", "--k", "3", "--max-p", "20", "--p", "13", "--A", "1",
       "--B", "2"], ("--max-p", "--A")),
-], ids=["ff-scan", "char-sum"])
+    (["char-sum", "--k", "3", "--max-p", "20", "--g", "2"],
+     ("--max-p", "--g")),
+    (["char-sum", "--p", "13", "--k", "3", "--A", "1,2", "--B", "1,2",
+      "--interval", "5"], ("--interval", "--max-p")),
+    (["sieve", "--audit", "3", "--set", "2,9", "--n", "5", "--k", "3",
+      "--L", "1"], ("--audit", "--set")),
+    (["sieve", "--set", "2,9", "--set-file", "F", "--n", "100", "--k", "3",
+      "--L", "1"], ("--set", "--set-file")),
+    (["sieve", "--set", "2,9", "--n", "100", "--k", "3", "--L", "1",
+      "--N", "50", "--seed", "4"], ("--N", "--seed", "--audit")),
+    (["ff-scan", "--mode", "clique", "--p", "13", "--k", "3", "--maxA", "9"],
+     ("--maxA", "--mode")),
+], ids=["ff-scan", "char-sum", "char-sum-g", "char-sum-interval",
+        "sieve-audit", "sieve-set-file", "sieve-audit-flags", "ff-scan-maxA"])
 def test_mixed_modes_are_refused(argv, flags, capsys):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert all(flag in captured.err for flag in flags)
+
+
+def test_mode_defaults_apply_where_read(capsys):
+    # --seed and --maxA default to None so that other modes can refuse them;
+    # the modes that read them still default to 0 and 3
+    for argv, default in [
+            (["sieve", "--audit", "5"], ["--seed", "0"]),
+            (["ff-scan", "--mode", "bipartite", "--p", "13", "--k", "3"],
+             ["--maxA", "3"])]:
+        assert cli.main(argv) == 0
+        implicit = capsys.readouterr().out
+        assert cli.main(argv + default) == 0
+        assert capsys.readouterr().out == implicit
+
+
+def test_char_sum_sweep_cap_refused_before_sieving(monkeypatch, capsys):
+    from diotuple import sieve
+
+    def no_sieve(n):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(sieve, "primes_up_to", no_sieve)
+    assert cli.main(["char-sum", "--k", "2", "--max-p", str(10 ** 9)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-p" in captured.err
 
 
 def test_input_errors_exit_one():

@@ -4,7 +4,6 @@ cliques, character sums."""
 import itertools
 import logging
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,7 +20,6 @@ from diotuple.ff import (
     FieldConfig,
     FieldScanResult,
     char_sum,
-    dlog_table,
     ff_scan_bipartite,
     ff_scan_clique,
     ff_verify,
@@ -452,10 +450,16 @@ def test_char_sum_zero_hits():
 
 
 def pair_loop_counts(A, B, config):
-    """The character counts and zero hits, pair by pair.  Test-only oracle
-    for the packed count of the sums."""
+    """The character counts and zero hits, pair by pair, classed through a
+    discrete-log table stepped along the powers of config.g.  Test-only
+    oracle for the packed count of the sums and their Euler-criterion
+    classes."""
     p, k = config.p, config.k
-    table = dlog_table(config)
+    table = {}
+    x = 1
+    for i in range(p - 1):
+        table[x] = i
+        x = x * config.g % p
     counts = [0] * k
     zero_hits = 0
     for a in set(A):
@@ -469,12 +473,16 @@ def pair_loop_counts(A, B, config):
 
 @st.composite
 def sum_inputs(draw):
-    """A field and two sides, each a random sample of a window of random
-    width, so that both sparse and dense sides come up; 0, p - 1 and
-    repeated elements included."""
+    """A field, a generator drawn from all primitive roots of p, and two
+    sides, each a random sample of a window of random width, so that both
+    sparse and dense sides come up; 0, p - 1 and repeated elements
+    included."""
     p = draw(st.sampled_from([q for q in primes_up_to(200) if q > 2])
              | st.just(9973))
     k = draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+    # the primitive roots are the g0^j with j prime to p - 1
+    j = draw(st.integers(1, p - 1).filter(lambda j: math.gcd(j, p - 1) == 1))
+    g = pow(primitive_root(p), j, p)
     rng = draw(st.randoms(use_true_random=False))
 
     def side():
@@ -485,19 +493,19 @@ def sum_inputs(draw):
         ends = draw(st.lists(st.sampled_from([0, p - 1]), max_size=2))
         return inner + ends + inner[:draw(st.integers(0, 3))]
 
-    return p, k, side(), side()
+    return p, k, g, side(), side()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(sum_inputs())
-@example((13, 3, [0, 12], [1, 5, 12]))
-@example((13, 3, list(range(13)) * 2, [0, 12, 12]))
-@example((9973, 2, [0, 9972], list(range(0, 9973, 7))))
+@example((13, 3, 2, [0, 12], [1, 5, 12]))
+@example((13, 3, 6, list(range(13)) * 2, [0, 12, 12]))
+@example((9973, 2, 11, [0, 9972], list(range(0, 9973, 7))))
 # 300 pairs sum to 299: the slots need more than one byte
-@example((9973, 3, list(range(300)), list(range(300))))
+@example((9973, 3, 1483, list(range(300)), list(range(300))))
 def test_char_sum_counts_match_pair_loop(case):
-    p, k, A, B = case
-    config = FieldConfig(p, k)
+    p, k, g, A, B = case
+    config = FieldConfig(p, k, g=g)
     r = char_sum(A, B, config)
     assert (r.counts, r.zero_hits) == pair_loop_counts(A, B, config)
     # the packed sums before they are folded mod p
@@ -540,17 +548,4 @@ def test_char_sum_errors():
     with pytest.raises(InputError):
         char_sum([-1], [1], cfg)
     with pytest.raises(InputError):
-        char_sum([1], [2], FieldConfig(1000003, 2))  # beyond the table cap
-    with pytest.raises(InputError):
-        dlog_table(FieldConfig(1000003, 2))
-
-
-def test_dlog_table_multiplicative():
-    cfg = FieldConfig(9973, 3)
-    table = dlog_table(cfg)
-    assert pow(cfg.g, table[5], 9973) == 5
-    rng = random.Random(606)
-    for _ in range(10_000):
-        x = rng.randint(1, 9972)
-        y = rng.randint(1, 9972)
-        assert (table[x] + table[y]) % 9972 == table[x * y % 9973]
+        char_sum([1], [2], FieldConfig(1000003, 2))  # beyond the cap
