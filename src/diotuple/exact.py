@@ -2,13 +2,14 @@
 
 Arbitrary-precision k-th roots, perfect-power tests, strict decimal and
 fraction parsers, the canonical fraction form, trial-division factoring,
-and a deterministic primality test for word-sized integers.  Floats appear
-only as Newton seeds or behind a guard band; every answer is settled in
-exact arithmetic.
+a deterministic primality test for word-sized integers, and Pollard's rho
+for splitting composites.  Floats appear only as Newton seeds or behind a
+guard band; every answer is settled in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ def integer_kth_root(m: int, k: int) -> int:
     if m == 0:
         return 0
     bits = m.bit_length()
+    if k >= bits:
+        return 1  # 2^k > m
     if bits <= 512:
         # float seed; the 1e-9 margin keeps the seed at or above the root
         r = int((m ** (1.0 / k)) * (1.0 + 1e-9)) + 1
@@ -144,6 +147,42 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def pollard_rho(m: int) -> int:
+    """A proper divisor d > 1 of the composite m.
+
+    Brent's cycle finding on x -> x^2 + c mod m, with the gcds batched over
+    128 steps, for c = 1, 2, ... until one splits m.  Never returns on a
+    prime m.
+    """
+    if m % 2 == 0:
+        return 2
+    c = 0
+    while True:
+        c += 1
+        y, power, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % m
+            done = 0
+            while done < power and g == 1:
+                ys = y
+                for _ in range(min(128, power - done)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                done += 128
+            power *= 2
+        if g == m:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
 
 
 def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:

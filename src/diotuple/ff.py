@@ -26,6 +26,30 @@ CHAR_SUM_CAP = 10 ** 6
 CLIQUE_CAP = 500
 CLASS_OMEGA_CAP = 1024  # shift classes whose clique number is kept
 BIPARTITE_SIDE_CAP = 6
+# a bipartite scan walks up to about p^(max_side - 1) sides and holds p^2 / 8
+# bytes of partner rows; at this cap p = 3137 with sides of 3 takes about 4 s
+BIPARTITE_WORK_CAP = 10 ** 7
+
+
+def check_scan(mode: str, p: int, max_side: int = 3):
+    """Refuse a scan of F_p too large to answer, before any field is built.
+
+    mode is "clique" (p at most CLIQUE_CAP), "char-sum" (p at most
+    CHAR_SUM_CAP) or "bipartite" (sides of 2 to BIPARTITE_SIDE_CAP, and
+    p^(max_side - 1) at most BIPARTITE_WORK_CAP).  FieldConfig finds a
+    generator by trial division of p - 1, so a caller checks first.
+    """
+    if mode == "clique" and p > CLIQUE_CAP:
+        raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
+    if mode == "char-sum" and p > CHAR_SUM_CAP:
+        raise InputError(f"character sums capped at p <= {CHAR_SUM_CAP}")
+    if mode == "bipartite":
+        if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
+            raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
+        if p ** (max_side - 1) > BIPARTITE_WORK_CAP:
+            raise InputError(
+                f"bipartite scan capped at p^(maxA - 1) <= "
+                f"{BIPARTITE_WORK_CAP}, got p={p} with sides of {max_side}")
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +187,8 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
     sides of the full scan: an orbit with stabilizer H has (p-1)/|H| sides,
     s/|H| of which contain 1.  Violations are expanded over their orbits.
     """
-    if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
-        raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
     p, k, lam = config.p, config.k, config.lam
+    check_scan("bipartite", p, max_side)
     comp = _partner_rows(config)
     negbit = [0] * p  # a -> the bit at -lam / a mod p
     for a in range(1, p):
@@ -358,8 +381,7 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
     scanned; the last CLASS_OMEGA_CAP classes are kept.
     """
     p, k, lam = config.p, config.k, config.lam
-    if p > CLIQUE_CAP:
-        raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
+    check_scan("clique", p)
     adj = _clique_graph(config)
     key = (p, k, _shift_class_rep(p, k, lam))
     omega = _class_omega.get(key)
@@ -452,8 +474,7 @@ def char_sum(A: Iterable[int], B: Iterable[int],
                 raise InputError(f"element {x} outside [0, {p - 1}]")
     if not sa or not sb:
         raise InputError("both sets must be nonempty")
-    if p > CHAR_SUM_CAP:
-        raise InputError(f"character sums capped at p <= {CHAR_SUM_CAP}")
+    check_scan("char-sum", p)
     e = (p - 1) // k
     root = pow(config.g, e, p)
     index = {pow(root, j, p): j for j in range(k)}

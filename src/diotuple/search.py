@@ -2,13 +2,14 @@
 
 The kernel: every cofactor b of a multiplier a with a*b + n = x^k comes
 from a power x^k, so candidates are enumerated on the power side and
-mapped back, never by scanning b.  A multiplier takes one of three routes:
-within the power range it steps through the residues x^k ≡ n (mod a),
-found by one O(a) scan of the classes mod a; above it but below the
-height it reads its cofactors from one divisor table of the values
-x^k - n, built once per (k, n, height); a point query at or above the
+mapped back, never by scanning b.  A multiplier within the power range
+steps through the residues x^k ≡ n (mod a), found by one O(a) scan of the
+classes mod a.  Above it, cofactors come from one divisor table of the
+values x^k - n, built once per (k, n, height) by sieving those values with
+the roots of x^k ≡ n modulo each prime; a point query at or above the
 height tests each x directly.  Each search builds the row of every
-multiplier once and reads it from there.  Tuple search is depth-first
+multiplier once, and reads the whole final band of multipliers above their
+power range off the table in one pass.  Tuple search is depth-first
 extension over intersected candidate sets; an exact gap-principle floor
 cross-checks every deep extension.  Bipartite search enumerates closed
 partner sets: by the symmetry of a*b + n = x^k, every A-side-maximal pair
@@ -19,6 +20,7 @@ growing A one element at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,11 +28,14 @@ from functools import lru_cache
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
                    gap_lower_bound)
 from .errors import InputError, InvariantViolation
-from .exact import integer_kth_root
+from .exact import integer_kth_root, is_prime, pollard_rho, trial_factor
 from .sieve import primes_up_to
 
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4
+# a search whose estimated work (see _rows) passes this is refused: the
+# highest heights allowed are about 6320 at k = 2 and 1.33 * 10^7 at k = 3
+SEARCH_WORK_CAP = 2 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -68,50 +73,128 @@ def kth_power_residues(modulus: int, k: int, target: int) -> tuple[int, ...]:
     return tuple(x for x in range(modulus) if pow(x, k, modulus) == target)
 
 
-def _factor_within(m: int, primes: list[int], N: int):
-    """(p, e) pairs of m >= 1 if every prime factor is <= N, else None.
+# primes below this find the roots of x^k ≡ n by scanning every residue
+_ROOT_SCAN_BELOW = 64
 
-    primes must hold every prime <= N.
+
+def _qth_root(a: int, q: int, p: int, h: int) -> int:
+    """One x with x^q ≡ a (mod p), for a prime q dividing p - 1, a q-th
+    power residue a ≢ 0 and a q-th power non-residue h.
+
+    Adleman–Manders–Miller in Tonelli–Shanks form (Tonelli–Shanks itself
+    at q = 2).  With p - 1 = q^t * s, q ∤ s, the guess x = a^(q^-1 mod s)
+    leaves err = x^q / a in the subgroup of order q^(t-1); each step
+    multiplies x by a power of z = h^s, of order q^t, that lowers the order
+    of err, found by a discrete log among the q-th roots of unity.
     """
-    factors = []
-    for p in primes:
-        if p * p > m:
-            break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    # m is now 1, a prime, or (primes exhausted) a product of primes > N
-    if m > N:
-        return None
-    if m > 1:
-        factors.append((m, 1))
-    return factors
+    s, t = p - 1, 0
+    while s % q == 0:
+        s //= q
+        t += 1
+    x = pow(a, pow(q, -1, s), p)
+    err = pow(x, q, p) * pow(a, -1, p) % p
+    if err == 1:
+        return x
+    z = pow(h, s, p)
+    omega = pow(z, q ** (t - 1), p)  # order q
+    while err != 1:
+        m, e = 0, err
+        while e != 1:
+            e = pow(e, q, p)
+            m += 1
+        # err has order q^m; its power of order q is omega^j
+        top = pow(err, q ** (m - 1), p)
+        j, w = 1, omega
+        while w != top:
+            w = w * omega % p
+            j += 1
+        # u has order q^(m+1) and u^(q^m) = omega, so err * u^(-jq) has
+        # order dividing q^(m-1)
+        fix = pow(pow(z, q ** (t - m - 1), p), -j, p)
+        x = x * fix % p
+        err = err * pow(fix, q, p) % p
+    return x
+
+
+def _prime_roots(k: int, n: int, p: int) -> list[int]:
+    """Sorted x in [0, p) with x^k ≡ n (mod p), for a prime p.
+
+    Small p are scanned.  Otherwise, with d = gcd(k, p - 1), n has roots
+    iff n^((p-1)/d) ≡ 1, and then x^k ≡ n iff x^d ≡ n^s for s the inverse
+    of k/d mod (p-1)/d: a single root when d = 1, and else the d roots
+    taken one prime q | d at a time, each q-th root times the q-th roots
+    of unity.
+    """
+    n %= p
+    if n == 0:
+        return [0]
+    if p < _ROOT_SCAN_BELOW:
+        return [x for x in range(1, p) if pow(x, k, p) == n]
+    d = math.gcd(k, p - 1)
+    if pow(n, (p - 1) // d, p) != 1:
+        return []
+    roots = [pow(n, pow(k // d, -1, (p - 1) // d), p)]
+    for q, e in trial_factor(d):
+        h = 2  # the least q-th power non-residue
+        while pow(h, (p - 1) // q, p) == 1:
+            h += 1
+        omega = pow(h, (p - 1) // q, p)  # order q
+        for _ in range(e):
+            roots = [y * pow(omega, i, p) % p
+                     for r in roots if pow(r, (p - 1) // q, p) == 1
+                     for y in (_qth_root(r, q, p, h),) for i in range(q)]
+    return sorted(roots)
+
+
+def _large_factors(r: int, floor: int, N: int) -> list[int] | None:
+    """The prime factors of r > 1, with multiplicity, when each is <= N;
+    else None.  r has no prime factor <= floor."""
+    if r < (floor + 1) ** 2 or is_prime(r):
+        return [r] if r <= N else None
+    d = pollard_rho(r)
+    low = _large_factors(d, floor, N)
+    high = None if low is None else _large_factors(r // d, floor, N)
+    return None if high is None else low + high
 
 
 @lru_cache(maxsize=16)
 def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     """Every a <= N mapped to its sorted cofactors b <= N with a*b + n = x^k.
 
-    Each x <= iroot(N^2 + n, k) gives m = x^k - n, and every factorization
-    m = a*b with a, b <= N is one entry.  A prime factor of m above N fits
-    in neither a nor b, so such m contribute nothing.  Cofactors arrive in
-    increasing x, hence already sorted.
+    Each x <= X = iroot(N^2 + n, k) gives m = x^k - n, and every
+    factorization m = a*b with a, b <= N is one entry; a prime factor of m
+    above N fits in neither a nor b, so such m contribute nothing.  The
+    values are sieved: each prime p <= min(X, N) is divided out along the
+    classes of the roots of x^k ≡ n (mod p).  What is left of m has every
+    prime factor above that bound and is split by is_prime and Pollard's
+    rho.  Cofactors arrive in increasing x, hence already sorted.
     """
     top = N * N + n
     if top < 1:
         return {}
-    primes = primes_up_to(N)
+    X = integer_kth_root(top, k)
+    first = integer_kth_root(n, k) + 1 if n > 0 else 1  # x^k - n >= 1 here
+    rest = [0] * first + [x ** k - n for x in range(first, X + 1)]
+    small: list[list[tuple[int, int]]] = [[] for _ in rest]
+    bound = min(X, N)
+    for p in primes_up_to(bound):
+        for root in _prime_roots(k, n, p):
+            for x in range(first + (root - first) % p, X + 1, p):
+                v, e = rest[x] // p, 1
+                while v % p == 0:
+                    v //= p
+                    e += 1
+                rest[x] = v
+                small[x].append((p, e))
     table: dict[int, list[int]] = {}
-    for x in range(1, integer_kth_root(top, k) + 1):
+    for x in range(first, X + 1):
+        factors = small[x]
+        if rest[x] > 1:
+            large = _large_factors(rest[x], bound, N)
+            if large is None:
+                continue
+            factors += [(q, large.count(q)) for q in sorted(set(large))]
         m = x ** k - n
-        if m < 1:
-            continue
-        factors = _factor_within(m, primes, N)
-        if factors is None:
-            continue
         divisors = [1]
         for p, e in factors:
             divisors += [d * p ** i for d in divisors for i in range(1, e + 1)
@@ -126,12 +209,14 @@ def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
 def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     """All b in [1, N] with a*b + n a k-th power of a positive integer.
 
-    Three routes: a within the power range (a <= xmax) steps through the
-    residues x^k ≡ n (mod a), an O(a) scan; a above it reads its cofactors
-    from the power-side divisor table when a < N, and otherwise tests each
-    x <= xmax directly.  That point query serves a = N, which at k = 2 is
-    often the only multiplier above its power range and would not repay a
-    table build, and a > N from candidates_for.
+    A multiplier within the power range (a <= xmax) steps through the
+    residues x^k ≡ n (mod a), an O(a) scan.  One above it reads its
+    cofactors from the power-side divisor table when a < N, and otherwise
+    tests each x <= xmax directly.  That point query serves a = N, which at
+    k = 2 is often the only multiplier above its power range and would not
+    repay a table build, and a > N from candidates_for.  The searches call
+    this only below the band start of _rows; candidates_for calls it for
+    every multiplier it is given.
     """
     limit = a * N + n
     if limit < 1:
@@ -166,9 +251,57 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
 _candidates_single = lru_cache(maxsize=1 << 15)(_row)
 
 
+def _band_start(k: int, n: int, N: int) -> int:
+    """The least a0 with a^k > a*N + n for every a in [a0, N]: the final band
+    of multipliers above their power range.  N + 1 when a = N is not.
+
+    f(a) = a^k - a*N - n is convex, with its minimum at (N/k)^(1/(k-1)),
+    which lies below c + 1 for c = iroot(N // k, k - 1) (N // 2 at k = 2):
+    f rises from c + 1 on, where a0 is found by bisection, and falls up to
+    c, so a band reaching down to c + 1 covers [1, N] once f(c) > 0.
+    """
+    def above(a: int) -> bool:
+        v = a * N + n
+        # a >= 2 with 2^k > v needs no power built (k may be huge)
+        return v < 1 or (a > 1 and k >= v.bit_length()) or a ** k > v
+
+    if not above(N):
+        return N + 1
+    c = N // 2 if k == 2 else integer_kth_root(N // k, k - 1)
+    lo, hi = c + 1, N
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return 1 if lo == c + 1 and (c < 1 or above(c)) else lo
+
+
 def _rows(k: int, n: int, N: int) -> list[tuple[int, ...]]:
-    """Row v is the candidate tuple of v for 1 <= v <= N; row 0 is empty."""
-    return [()] + [_row(v, k, n, N) for v in range(1, N + 1)]
+    """Row v is the candidate tuple of v for 1 <= v <= N; row 0 is empty.
+
+    The band [a0, N] of _band_start reads its rows from the power-side
+    table in one pass, and each v < a0 takes _row.  A band of {N} alone
+    (k = 2 with 1 - N <= n < 0) or none builds no table: _row answers N by
+    its point query.  Before anything is built, a search is refused whose
+    estimated work passes SEARCH_WORK_CAP: about a0^2 / 2 residue tests for
+    the rows below a0, X = iroot(N^2 + n, k) sieved values and N rows.
+    """
+    a0 = _band_start(k, n, N)
+    top = N * N + n
+    work = a0 * a0 // 2 + (integer_kth_root(top, k) if top >= 1 else 0) + N
+    if work > SEARCH_WORK_CAP:
+        raise InputError(
+            f"search at k={k}, n={n}, N={N} needs about {work} steps, above "
+            f"the cap of {SEARCH_WORK_CAP}; lower N")
+    if a0 >= N:
+        a0 = N + 1
+    rows = [()] + [_row(v, k, n, N) for v in range(1, a0)]
+    if a0 <= N:
+        table = _power_side_table(k, n, N)
+        rows += [table.get(a, ()) for a in range(a0, N + 1)]
+    return rows
 
 
 def candidates_for(A, config: TupleConfig, N: int) -> list[int]:

@@ -19,6 +19,7 @@ from diotuple.exact import (
     parse_integer,
     parse_natural,
     parse_rational,
+    pollard_rho,
     trial_factor,
 )
 
@@ -140,6 +141,27 @@ def test_trial_factor():
     assert trial_factor(10**6 + 3) == [(1000003, 1)]
     with pytest.raises(InputError):
         trial_factor(0)
+
+
+def test_integer_kth_root_huge_degree():
+    # a degree at or past the bit length has root 1 and builds no power
+    assert integer_kth_root(10 ** 30, 10 ** 12) == 1
+    assert integer_kth_root(2 ** 100 - 1, 100) == 1
+    assert integer_kth_root(2 ** 100, 100) == 2
+    assert integer_kth_root(1, 2) == 1
+
+
+def test_pollard_rho_splits_composites():
+    rng = random.Random(3)
+    primes = [q for q in range(3, 3000) if is_prime(q)]
+    cases = [4, 9, 15, 25, 27, 49, 91, 2 ** 20, 3 ** 13, 1000003 ** 2,
+             46441 * 46447, (2 ** 31 - 1) * (2 ** 61 - 1)]
+    cases += [rng.choice(primes) ** rng.randint(2, 4) for _ in range(100)]
+    cases += [rng.randrange(2, 10 ** 7) * rng.randrange(2, 10 ** 7)
+              for _ in range(300)]
+    for m in cases:
+        d = pollard_rho(m)
+        assert 1 < d < m and m % d == 0, m
 
 
 def test_trial_factor_reconstructs():

@@ -250,6 +250,23 @@ def test_ff_scan_bipartite_cap():
         ff_scan_bipartite(cfg, 7)
 
 
+def test_ff_scan_bipartite_work_cap_refused_before_building(monkeypatch):
+    # p^(max_side - 1) above BIPARTITE_WORK_CAP is refused before the
+    # p^2 / 8 bytes of partner rows are built
+    def no_rows(config):
+        raise AssertionError("partner rows built before refusing")
+
+    monkeypatch.setattr(ff, "_partner_rows", no_rows)
+    assert ff.BIPARTITE_WORK_CAP == 10 ** 7
+    for p, k, max_side in ((197, 2, 6), (97, 2, 5), (3163, 2, 3)):
+        with pytest.raises(InputError, match="bipartite scan capped"):
+            ff_scan_bipartite(FieldConfig(p, k, 1), max_side)
+    # the golden inputs, criterion 7 and the sides of four at p = 31 stay
+    for p, max_side in ((97, 3), (3137, 3), (31, 4), (211, 4), (53, 5),
+                        (23, 6)):
+        ff.check_scan("bipartite", p, max_side)
+
+
 def test_ff_scan_clique_frozen():
     r = ff_scan_clique(FieldConfig(13, 3, 1))
     assert r.max_size == 3

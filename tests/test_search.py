@@ -2,12 +2,14 @@
 
 import math
 import random
+import re
 import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import primerange
 from sympy.ntheory.residue_ntheory import nthroot_mod
 
 from diotuple import search
@@ -23,8 +25,9 @@ from diotuple.search import (
     search_bipartite,
     search_tuples,
 )
-from diotuple.search import (_candidates_single, _factor_within,
-                             _gap_floor_check)
+from diotuple.search import (_band_start, _candidates_single,
+                             _gap_floor_check, _power_side_table,
+                             _prime_roots)
 from diotuple.sieve import primes_up_to
 
 
@@ -277,15 +280,97 @@ def test_candidates_power_side_table_vs_naive():
     assert (120, 6, 100, 120) in table_path
 
 
-def test_factor_within_skips_large_primes():
+def test_power_side_table_skips_large_primes():
     # 21^3 - 1 = 2^2 * 5 * 463: 463 fits in neither side at height 100, so
     # that power contributes nothing; at height 463 it factors completely
-    assert _factor_within(9260, primes_up_to(100), 100) is None
-    assert _factor_within(9260, primes_up_to(463), 463) == [
-        (2, 2), (5, 1), (463, 1)]
-    assert _factor_within(1, primes_up_to(1), 1) == []
+    def factorizations(N, m):
+        return {(a, b) for a, bs in _power_side_table(3, 1, N).items()
+                for b in bs if a * b == m}
+
+    assert factorizations(100, 9260) == set()
+    assert factorizations(463, 9260) == {(20, 463), (463, 20)}
+    assert _power_side_table(3, 1, 1) == {}
     assert 463 not in _candidates_single(20, 3, 1, 100)
     assert list(_candidates_single(20, 3, 1, 100)) == _cands_naive(20, 3, 1, 100)
+
+
+def test_prime_roots_match_nthroot_mod():
+    # every residue of every prime below 2000; a scan of the k-th powers
+    # tells residues from non-residues, and sympy gives the roots of each
+    # residue by its own route
+    for p in primerange(2, 2000):
+        for k in range(2, 8):
+            powers = {pow(x, k, p) for x in range(p)}
+            for n in range(p):
+                got = _prime_roots(k, n, p)
+                if n in powers:
+                    assert got == nthroot_mod(n, k, p, all_roots=True), \
+                        (p, k, n)
+                else:
+                    assert got == [], (p, k, n)
+
+
+def _trial_division_table(k, n, N):
+    """Every a <= N mapped to its sorted cofactors b <= N with a*b + n = x^k,
+    from each x^k - n factored by trial division over the primes <= N."""
+    top = N * N + n
+    if top < 1:
+        return {}
+    primes = primes_up_to(N)
+    table = {}
+    x = 1
+    while x ** k <= top:
+        m = x ** k - n
+        x += 1
+        if m < 1:
+            continue
+        factors, rest = [], m
+        for p in primes:
+            if p * p > rest:
+                break
+            while rest % p == 0:
+                rest //= p
+                factors.append(p)
+        if rest > N:
+            continue  # a prime factor fits in neither side
+        if rest > 1:
+            factors.append(rest)
+        divisors = {1}
+        for p in factors:
+            divisors |= {d * p for d in divisors}
+        for a in sorted(divisors):
+            if a <= N and m // a <= N:
+                table.setdefault(a, []).append(m // a)
+    return {a: tuple(bs) for a, bs in table.items()}
+
+
+def test_power_side_table_matches_trial_division():
+    for k in range(3, 7):
+        for n in range(-100, 101):
+            if n == 0:
+                continue
+            for N in (1, 2, 7, 60, 120, 400, 5000, 40000):
+                assert _power_side_table(k, n, N) == \
+                    _trial_division_table(k, n, N), (k, n, N)
+    _power_side_table.cache_clear()
+
+
+def test_band_start_matches_definition():
+    for k in range(2, 8):
+        for n in range(-120, 121):
+            if n == 0:
+                continue
+            for N in (*range(1, 40), 60, 257, 1000):
+                want = N + 1
+                while want > 1 and (want - 1) ** k > (want - 1) * N + n:
+                    want -= 1
+                assert _band_start(k, n, N) == want, (k, n, N)
+    # the examples of test_table_band_searches_match_references: a band
+    # over every multiplier, and a band of {N} alone
+    assert _band_start(3, -100, 12) == 1
+    assert _band_start(3, 5, 3) == 3
+    # a huge degree builds no huge power
+    assert _band_start(10 ** 12, 1, 10 ** 6) == 2
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -308,23 +393,82 @@ def test_candidates_anti_monotone():
 
 
 def test_each_search_builds_every_row_once(monkeypatch):
-    # a search builds the row of every v in 1..N once, straight from the
-    # row function, and leaves candidates_for's cache as it was
-    calls = Counter()
-    row = search._row
+    # a search builds the row of every v below the band start a0 once,
+    # straight from the row function, reads the band [a0, N] from one
+    # table build, and leaves candidates_for's cache as it was
+    calls, builds = Counter(), Counter()
+    row, table = search._row, search._power_side_table
 
     def counting_row(a, k, n, N):
         calls[a, k, n, N] += 1
         return row(a, k, n, N)
 
+    def counting_table(k, n, N):
+        builds[k, n, N] += 1
+        return table(k, n, N)
+
     monkeypatch.setattr(search, "_row", counting_row)
+    monkeypatch.setattr(search, "_power_side_table", counting_table)
     _candidates_single.cache_clear()
     cfg, N = TupleConfig(k=3, n=1), 257
+    a0 = _band_start(3, 1, N)
+    assert a0 == 17
     for run in (search_tuples, search_bipartite):
         calls.clear()
+        builds.clear()
         assert run(cfg, SearchBudget(height=N, min_partner=1)).results
-        assert calls == Counter({(v, 3, 1, N): 1 for v in range(1, N + 1)})
+        assert calls == Counter({(v, 3, 1, N): 1 for v in range(1, a0)})
+        assert builds == Counter({(3, 1, N): 1})
         assert _candidates_single.cache_info().currsize == 0
+
+
+def test_band_of_the_height_alone_builds_no_table(monkeypatch):
+    # k = 2 with n < 0: only a = N is above its power range, and the point
+    # query answers it; the dense searches run every row through _row
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(search, "_power_side_table", no_table)
+    for n in (-1, -3, 1, 4):
+        cfg = TupleConfig(k=2, n=n)
+        got = search_tuples(cfg, SearchBudget(height=300))
+        assert got == brute_force_tuples(cfg, 300, 2), n
+
+
+def test_search_work_cap_refuses_before_building(monkeypatch):
+    def spy(*args):
+        raise AssertionError("built before the work was estimated")
+
+    for name in ("_row", "_power_side_table", "kth_power_residues"):
+        monkeypatch.setattr(search, name, spy)
+    for run in (search_tuples, search_bipartite):
+        for k, N in ((3, 10 ** 12), (2, 10 ** 4), (10 ** 9, 10 ** 8)):
+            with pytest.raises(InputError, match="above the cap"):
+                run(TupleConfig(k=k, n=1), SearchBudget(height=N))
+    # the largest inputs of the tests and the bench stay inside the cap
+    monkeypatch.undo()
+    monkeypatch.setattr(search, "SEARCH_WORK_CAP", 0)
+    for k, n, N in ((2, 1, 6000), (2, -3, 6000), (3, -2, 40000),
+                    (3, 1, 10 ** 7)):
+        with pytest.raises(InputError) as refused:
+            search._rows(k, n, N)
+        work = int(re.search(r"about (\d+) steps", str(refused.value))[1])
+        assert work <= 2 * 10 ** 7, (k, n, N, work)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(3, 6), st.integers(-100, 100).filter(bool),
+       st.integers(1, 300), st.integers(1, 3), st.integers(1, 3))
+@example(3, -100, 12, 1, 1)  # the band starts at 1
+@example(3, 5, 3, 1, 1)  # the band is {N}
+@example(3, 1, 300, 2, 1)
+def test_table_band_searches_match_references(k, n, N, min_a, min_b):
+    cfg = TupleConfig(k=k, n=n)
+    assert search_tuples(cfg, SearchBudget(height=N, min_size=min_a)) == \
+        brute_force_tuples(cfg, N, min_a)
+    budget = SearchBudget(height=N, min_size=min_a, min_partner=min_b)
+    assert search_bipartite(cfg, budget) == \
+        reference_search_bipartite(cfg, budget)
 
 
 # ------------------------------------------------------------ tuple search
