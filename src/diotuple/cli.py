@@ -264,7 +264,6 @@ def _cmd_ff_scan(args) -> int:
     if args.mode == "clique":
         _refuse(args, ("--maxA",), "with --mode clique")
     from . import ff
-    ff.check_scan(args.mode, args.p, args.maxA or 3)
     results = []
     for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam or 1]:
         config = ff.FieldConfig(args.p, args.k, lam)
@@ -308,7 +307,6 @@ def _cmd_char_sum(args) -> int:
     _refuse(args, ("--interval",), "without --max-p")
     if args.p is None or args.A is None or args.B is None:
         raise InputError("char-sum needs --p, --A and --B (or --max-p for a sweep)")
-    ff.check_scan("char-sum", args.p)
     config = ff.FieldConfig(args.p, args.k, g=args.g or 0)
     r = ff.char_sum(args.A, args.B, config)
     _emit({"type": "char-sum", **asdict(r), "g": config.g})

@@ -2,9 +2,9 @@
 
 Arbitrary-precision k-th roots, perfect-power tests, strict decimal and
 fraction parsers, the canonical fraction form, trial-division factoring,
-a deterministic primality test for word-sized integers, and Pollard's rho
-for splitting composites.  Floats appear only as Newton seeds or behind a
-guard band; every answer is settled in exact arithmetic.
+a deterministic primality test and Pollard's rho, with a factorization
+built on them, for word-sized integers.  Floats appear only as Newton seeds
+or behind a guard band; every answer is settled in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -183,6 +183,24 @@ def pollard_rho(m: int) -> int:
                 g = math.gcd(abs(x - ys), m)
         if g != m:
             return g
+
+
+def factor(m: int) -> list[tuple[int, int]]:
+    """Prime factorization of 1 <= m < 2**64 as sorted (p, e) pairs, by
+    Miller-Rabin and Pollard's rho: fast however large the prime factors."""
+    if m < 1:
+        raise InputError(f"can only factor naturals >= 1, got {m}")
+    primes, parts = [], [m]
+    while parts:
+        r = parts.pop()
+        if r == 1:
+            continue
+        if is_prime(r):
+            primes.append(r)
+        else:
+            d = pollard_rho(r)
+            parts += [d, r // d]
+    return sorted((q, primes.count(q)) for q in set(primes))
 
 
 def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:

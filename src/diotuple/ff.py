@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import InputError, InvariantViolation
-from .exact import is_prime, trial_factor
+from .exact import factor, is_prime
 
 logger = logging.getLogger(__name__)
 
@@ -31,27 +31,6 @@ BIPARTITE_SIDE_CAP = 6
 BIPARTITE_WORK_CAP = 10 ** 7
 
 
-def check_scan(mode: str, p: int, max_side: int = 3):
-    """Refuse a scan of F_p too large to answer, before any field is built.
-
-    mode is "clique" (p at most CLIQUE_CAP), "char-sum" (p at most
-    CHAR_SUM_CAP) or "bipartite" (sides of 2 to BIPARTITE_SIDE_CAP, and
-    p^(max_side - 1) at most BIPARTITE_WORK_CAP).  FieldConfig finds a
-    generator by trial division of p - 1, so a caller checks first.
-    """
-    if mode == "clique" and p > CLIQUE_CAP:
-        raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
-    if mode == "char-sum" and p > CHAR_SUM_CAP:
-        raise InputError(f"character sums capped at p <= {CHAR_SUM_CAP}")
-    if mode == "bipartite":
-        if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
-            raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
-        if p ** (max_side - 1) > BIPARTITE_WORK_CAP:
-            raise InputError(
-                f"bipartite scan capped at p^(maxA - 1) <= "
-                f"{BIPARTITE_WORK_CAP}, got p={p} with sides of {max_side}")
-
-
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
@@ -59,7 +38,7 @@ def primitive_root(p: int) -> int:
         raise InputError(f"{p} is not prime")
     if p == 2:
         return 1
-    prime_divisors = [q for q, _ in trial_factor(p - 1)]
+    prime_divisors = [q for q, _ in factor(p - 1)]
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
             return g
@@ -103,7 +82,7 @@ class FieldConfig:
         if self.p == 2:
             return g == 1
         return all(pow(g, (self.p - 1) // q, self.p) != 1
-                   for q, _ in trial_factor(self.p - 1))
+                   for q, _ in factor(self.p - 1))
 
     @property
     def class_size(self) -> int:
@@ -187,8 +166,13 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
     sides of the full scan: an orbit with stabilizer H has (p-1)/|H| sides,
     s/|H| of which contain 1.  Violations are expanded over their orbits.
     """
+    if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
+        raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
     p, k, lam = config.p, config.k, config.lam
-    check_scan("bipartite", p, max_side)
+    if p ** (max_side - 1) > BIPARTITE_WORK_CAP:
+        raise InputError(
+            f"bipartite scan capped at p^(maxA - 1) <= {BIPARTITE_WORK_CAP}, "
+            f"got p={p} with sides of {max_side}")
     comp = _partner_rows(config)
     negbit = [0] * p  # a -> the bit at -lam / a mod p
     for a in range(1, p):
@@ -381,7 +365,8 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
     scanned; the last CLASS_OMEGA_CAP classes are kept.
     """
     p, k, lam = config.p, config.k, config.lam
-    check_scan("clique", p)
+    if p > CLIQUE_CAP:
+        raise InputError(f"clique scan capped at p <= {CLIQUE_CAP}, got {p}")
     adj = _clique_graph(config)
     key = (p, k, _shift_class_rep(p, k, lam))
     omega = _class_omega.get(key)
@@ -474,7 +459,8 @@ def char_sum(A: Iterable[int], B: Iterable[int],
                 raise InputError(f"element {x} outside [0, {p - 1}]")
     if not sa or not sb:
         raise InputError("both sets must be nonempty")
-    check_scan("char-sum", p)
+    if p > CHAR_SUM_CAP:
+        raise InputError(f"character sums capped at p <= {CHAR_SUM_CAP}")
     e = (p - 1) // k
     root = pow(config.g, e, p)
     index = {pow(root, j, p): j for j in range(k)}

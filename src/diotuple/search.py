@@ -9,13 +9,14 @@ values x^k - n, built once per (k, n, height) by sieving those values with
 the roots of x^k ≡ n modulo each prime; a point query at or above the
 height tests each x directly.  Each search builds the row of every
 multiplier once, and reads the whole final band of multipliers above their
-power range off the table in one pass.  Tuple search is depth-first
-extension over intersected candidate sets; an exact gap-principle floor
-cross-checks every deep extension.  Bipartite search enumerates closed
-partner sets: by the symmetry of a*b + n = x^k, every A-side-maximal pair
-(A, B) has B an intersection of neighborhoods and A the common
-neighborhood of B, so the pairs are read off the closed sets without
-growing A one element at a time.
+power range off the table in one pass; a search whose estimated time or
+memory passes its cap is refused before any row is built.  Tuple search
+is depth-first extension over intersected candidate sets; an exact
+gap-principle floor cross-checks every deep extension.  Bipartite search
+enumerates closed partner sets: by the symmetry of a*b + n = x^k, every
+A-side-maximal pair (A, B) has B an intersection of neighborhoods and A
+the common neighborhood of B, so the pairs are read off the closed sets
+without growing A one element at a time.
 """
 
 from __future__ import annotations
@@ -28,14 +29,27 @@ from functools import lru_cache
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
                    gap_lower_bound)
 from .errors import InputError, InvariantViolation
-from .exact import integer_kth_root, is_prime, pollard_rho, trial_factor
+from .exact import factor, integer_kth_root, trial_factor
 from .sieve import primes_up_to
 
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4
-# a search whose estimated work (see _rows) passes this is refused: the
-# highest heights allowed are about 6320 at k = 2 and 1.33 * 10^7 at k = 3
-SEARCH_WORK_CAP = 2 * 10 ** 7
+# a search whose estimated time or memory (see _search_cost) passes these
+# is refused before anything is built
+SEARCH_SECONDS_CAP = 60
+SEARCH_BYTES_CAP = 2 * 2 ** 30
+# What one unit of a search costs at most, in (nanoseconds, bytes), measured
+# on a 2-core AMD EPYC box under CPython 3.11 over search_tuples and
+# search_bipartite up to N = 18000 at k = 2 with n >= 1 - N, N = 6 * 10^5
+# at k = 2 with n = -N^2 / 2 and N = 10^7 at k >= 3: a residue test below
+# the band start (the walks of the dense k = 2 searches included), with the
+# rows it builds; a sieved value x^k - n, with its factors, table entries
+# and walk, at k = 2, 3, 4 and any larger k (x^k - n splits into more
+# factors, with more divisors, as k grows); a row of the band.
+_RESIDUE_COST = (120, 6000)
+_SIEVED_COST = ((25_000, 600), (40_000, 3500), (80_000, 14_000),
+                (150_000, 50_000))
+_ROW_COST = (1000, 24)
 
 
 @dataclass(frozen=True)
@@ -71,10 +85,6 @@ def kth_power_residues(modulus: int, k: int, target: int) -> tuple[int, ...]:
     """Sorted x mod modulus with x^k ≡ target (mod modulus), by direct scan."""
     target %= modulus
     return tuple(x for x in range(modulus) if pow(x, k, modulus) == target)
-
-
-# primes below this find the roots of x^k ≡ n by scanning every residue
-_ROOT_SCAN_BELOW = 64
 
 
 def _qth_root(a: int, q: int, p: int, h: int) -> int:
@@ -119,17 +129,14 @@ def _qth_root(a: int, q: int, p: int, h: int) -> int:
 def _prime_roots(k: int, n: int, p: int) -> list[int]:
     """Sorted x in [0, p) with x^k ≡ n (mod p), for a prime p.
 
-    Small p are scanned.  Otherwise, with d = gcd(k, p - 1), n has roots
-    iff n^((p-1)/d) ≡ 1, and then x^k ≡ n iff x^d ≡ n^s for s the inverse
-    of k/d mod (p-1)/d: a single root when d = 1, and else the d roots
-    taken one prime q | d at a time, each q-th root times the q-th roots
-    of unity.
+    With d = gcd(k, p - 1), n has roots iff n^((p-1)/d) ≡ 1, and then
+    x^k ≡ n iff x^d ≡ n^s for s the inverse of k/d mod (p-1)/d: a single
+    root when d = 1, and else the d roots taken one prime q | d at a time,
+    each q-th root times the q-th roots of unity.
     """
     n %= p
     if n == 0:
         return [0]
-    if p < _ROOT_SCAN_BELOW:
-        return [x for x in range(1, p) if pow(x, k, p) == n]
     d = math.gcd(k, p - 1)
     if pow(n, (p - 1) // d, p) != 1:
         return []
@@ -146,17 +153,6 @@ def _prime_roots(k: int, n: int, p: int) -> list[int]:
     return sorted(roots)
 
 
-def _large_factors(r: int, floor: int, N: int) -> list[int] | None:
-    """The prime factors of r > 1, with multiplicity, when each is <= N;
-    else None.  r has no prime factor <= floor."""
-    if r < (floor + 1) ** 2 or is_prime(r):
-        return [r] if r <= N else None
-    d = pollard_rho(r)
-    low = _large_factors(d, floor, N)
-    high = None if low is None else _large_factors(r // d, floor, N)
-    return None if high is None else low + high
-
-
 @lru_cache(maxsize=16)
 def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     """Every a <= N mapped to its sorted cofactors b <= N with a*b + n = x^k.
@@ -166,8 +162,8 @@ def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     above N fits in neither a nor b, so such m contribute nothing.  The
     values are sieved: each prime p <= min(X, N) is divided out along the
     classes of the roots of x^k ≡ n (mod p).  What is left of m has every
-    prime factor above that bound and is split by is_prime and Pollard's
-    rho.  Cofactors arrive in increasing x, hence already sorted.
+    prime factor above that bound and is split by exact.factor.  Cofactors
+    arrive in increasing x, hence already sorted.
     """
     top = N * N + n
     if top < 1:
@@ -175,7 +171,7 @@ def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     X = integer_kth_root(top, k)
     first = integer_kth_root(n, k) + 1 if n > 0 else 1  # x^k - n >= 1 here
     rest = [0] * first + [x ** k - n for x in range(first, X + 1)]
-    small: list[list[tuple[int, int]]] = [[] for _ in rest]
+    small: dict[int, list[tuple[int, int]]] = {}  # x -> the primes <= bound
     bound = min(X, N)
     for p in primes_up_to(bound):
         for root in _prime_roots(k, n, p):
@@ -185,15 +181,17 @@ def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
                     v //= p
                     e += 1
                 rest[x] = v
-                small[x].append((p, e))
-    table: dict[int, list[int]] = {}
+                small.setdefault(x, []).append((p, e))
+    table: dict = {}  # a -> a list of cofactors, then its tuple
     for x in range(first, X + 1):
-        factors = small[x]
-        if rest[x] > 1:
-            large = _large_factors(rest[x], bound, N)
-            if large is None:
-                continue
-            factors += [(q, large.count(q)) for q in sorted(set(large))]
+        factors = small.get(x, [])
+        r = rest[x]
+        if r > 1:
+            # every prime factor of r is above bound: below bound^2, r is one
+            large = [(r, 1)] if r <= bound * bound else factor(r)
+            if large[-1][0] > N:
+                continue  # a prime factor fits in neither a nor b
+            factors += large
         m = x ** k - n
         divisors = [1]
         for p, e in factors:
@@ -203,7 +201,9 @@ def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
         for a in divisors:
             if a >= lo:
                 table.setdefault(a, []).append(m // a)
-    return {a: tuple(bs) for a, bs in table.items()}
+    for a, bs in table.items():
+        table[a] = tuple(bs)  # each list is freed as its tuple is made
+    return table
 
 
 def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
@@ -278,6 +278,22 @@ def _band_start(k: int, n: int, N: int) -> int:
     return 1 if lo == c + 1 and (c < 1 or above(c)) else lo
 
 
+def _search_cost(k: int, n: int, N: int, a0: int) -> tuple[int, int]:
+    """Estimated (nanoseconds, bytes) of a search at height N whose band
+    starts at a0 (N + 1 for none): a0^2 / 2 residue tests over the a0 - 1
+    rows below it, X = iroot(N^2 + n, k) sieved values when a table is
+    built, and N rows.  Integers throughout, so no height overflows."""
+    ns = _RESIDUE_COST[0] * a0 * a0 // 2 + _ROW_COST[0] * N
+    size = _RESIDUE_COST[1] * a0 + _ROW_COST[1] * N
+    top = N * N + n
+    if a0 <= N and top >= 1:
+        X = integer_kth_root(top, k)
+        sieve_ns, sieve_bytes = _SIEVED_COST[min(k, 5) - 2]
+        ns += sieve_ns * X
+        size += sieve_bytes * X
+    return ns, size
+
+
 def _rows(k: int, n: int, N: int) -> list[tuple[int, ...]]:
     """Row v is the candidate tuple of v for 1 <= v <= N; row 0 is empty.
 
@@ -285,18 +301,17 @@ def _rows(k: int, n: int, N: int) -> list[tuple[int, ...]]:
     table in one pass, and each v < a0 takes _row.  A band of {N} alone
     (k = 2 with 1 - N <= n < 0) or none builds no table: _row answers N by
     its point query.  Before anything is built, a search is refused whose
-    estimated work passes SEARCH_WORK_CAP: about a0^2 / 2 residue tests for
-    the rows below a0, X = iroot(N^2 + n, k) sieved values and N rows.
+    _search_cost passes SEARCH_SECONDS_CAP or SEARCH_BYTES_CAP.
     """
     a0 = _band_start(k, n, N)
-    top = N * N + n
-    work = a0 * a0 // 2 + (integer_kth_root(top, k) if top >= 1 else 0) + N
-    if work > SEARCH_WORK_CAP:
-        raise InputError(
-            f"search at k={k}, n={n}, N={N} needs about {work} steps, above "
-            f"the cap of {SEARCH_WORK_CAP}; lower N")
     if a0 >= N:
         a0 = N + 1
+    ns, size = _search_cost(k, n, N, a0)
+    if ns > SEARCH_SECONDS_CAP * 10 ** 9 or size > SEARCH_BYTES_CAP:
+        raise InputError(
+            f"search at k={k}, n={n}, N={N} needs about {ns // 10 ** 9} s and "
+            f"{size >> 20} MiB, above the cap of {SEARCH_SECONDS_CAP} s and "
+            f"{SEARCH_BYTES_CAP >> 20} MiB; lower N")
     rows = [()] + [_row(v, k, n, N) for v in range(1, a0)]
     if a0 <= N:
         table = _power_side_table(k, n, N)
@@ -439,8 +454,10 @@ def search_bipartite(config: TupleConfig, budget: SearchBudget) -> SearchOutcome
     min_a, min_b = budget.min_size, budget.min_partner
 
     # row v is N(v); every neighborhood lies in [1, N], so the rows cover
-    # every element a B side can reach
-    partners = [frozenset(row) for row in
+    # every element a B side can reach.  The empty rows, most of them at
+    # k >= 3, share one frozenset.
+    empty = frozenset()
+    partners = [frozenset(row) if row else empty for row in
                 _rows(config.k, config.n, budget.height)]
     work = {B for B in partners if len(B) >= min_b}
     seen = set(work)

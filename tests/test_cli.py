@@ -112,15 +112,17 @@ def test_char_sum_sweep_cap_refused_before_sieving(monkeypatch, capsys):
     assert "--max-p" in captured.err
 
 
-def test_field_caps_refused_before_the_generator(monkeypatch, capsys):
-    # FieldConfig finds a generator by trial division of p - 1, which takes
-    # seconds for a safe prime near 10^17; each scan's cap comes first
-    from diotuple import ff
+def test_caps_refused_at_once(monkeypatch, capsys):
+    # p - 1 = 2 * 50000000000000549 for the safe prime below: FieldConfig
+    # factors it by Pollard's rho, so each scan's own cap refuses at once;
+    # a search is refused before any row is built
+    from diotuple import search
 
-    def no_generator(p):
-        raise AssertionError("generator computed before refusing")
+    def spy(*args):
+        raise AssertionError("built before refusing")
 
-    monkeypatch.setattr(ff, "primitive_root", no_generator)
+    for name in ("_row", "_power_side_table", "kth_power_residues"):
+        monkeypatch.setattr(search, name, spy)
     big = "100000000000001099"
     for argv, cap in (
             (["char-sum", "--p", big, "--k", "2", "--A", "1", "--B", "1"],
@@ -130,29 +132,15 @@ def test_field_caps_refused_before_the_generator(monkeypatch, capsys):
             (["ff-scan", "--mode", "bipartite", "--p", big, "--k", "2"],
              "bipartite scan capped"),
             (["ff-scan", "--mode", "bipartite", "--p", "197", "--k", "2",
-              "--maxA", "6"], "bipartite scan capped")):
+              "--maxA", "6"], "bipartite scan capped"),
+            (["search-tuples", "--k", "3", "--n", "1", "--N", str(10 ** 12)],
+             "above the cap"),
+            (["search-bipartite", "--k", "2", "--n", "-1", "--N", "40000"],
+             "above the cap")):
         assert cli.main(argv) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert cap in captured.err, argv
-
-
-def test_search_cap_refused_before_building(monkeypatch, capsys):
-    from diotuple import search
-
-    def spy(*args):
-        raise AssertionError("built before refusing")
-
-    for name in ("_row", "_power_side_table", "kth_power_residues"):
-        monkeypatch.setattr(search, name, spy)
-    for argv in (["search-tuples", "--k", "3", "--n", "1", "--N",
-                  str(10 ** 12)],
-                 ["search-bipartite", "--k", "2", "--n", "-1", "--N",
-                  "7000"]):
-        assert cli.main(argv) == 1, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "above the cap" in captured.err
 
 
 def test_input_errors_exit_one():

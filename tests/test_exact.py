@@ -12,6 +12,7 @@ from sympy import integer_nthroot
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import (
     compare_value_to_power,
+    factor,
     format_rational,
     integer_kth_root,
     is_perfect_kth_power,
@@ -162,6 +163,19 @@ def test_pollard_rho_splits_composites():
     for m in cases:
         d = pollard_rho(m)
         assert 1 < d < m and m % d == 0, m
+
+
+def test_factor_matches_trial_division():
+    rng = random.Random(5)
+    cases = [1, 2, 4, 360, 3 ** 40, 2 ** 63, 1000003 ** 3, 2 ** 64 - 2,
+             46441 ** 2 * 3]
+    cases += [rng.randrange(1, 10 ** 12) for _ in range(200)]
+    for m in cases:
+        assert factor(m) == trial_factor(m), m
+    # a safe prime's p - 1: trial division would run to 7 * 10^7
+    assert factor(100000000000001098) == [(2, 1), (50000000000000549, 1)]
+    with pytest.raises(InputError):
+        factor(0)
 
 
 def test_trial_factor_reconstructs():

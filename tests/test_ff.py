@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from diotuple import ff
 from diotuple.errors import InputError, InvariantViolation
+from diotuple.exact import is_prime, trial_factor
 from diotuple.ff import (
     CharacterSumResult,
     CliqueScanResult,
@@ -253,18 +254,40 @@ def test_ff_scan_bipartite_cap():
 def test_ff_scan_bipartite_work_cap_refused_before_building(monkeypatch):
     # p^(max_side - 1) above BIPARTITE_WORK_CAP is refused before the
     # p^2 / 8 bytes of partner rows are built
+    class Built(Exception):
+        pass
+
     def no_rows(config):
-        raise AssertionError("partner rows built before refusing")
+        raise Built
 
     monkeypatch.setattr(ff, "_partner_rows", no_rows)
     assert ff.BIPARTITE_WORK_CAP == 10 ** 7
     for p, k, max_side in ((197, 2, 6), (97, 2, 5), (3163, 2, 3)):
         with pytest.raises(InputError, match="bipartite scan capped"):
             ff_scan_bipartite(FieldConfig(p, k, 1), max_side)
-    # the golden inputs, criterion 7 and the sides of four at p = 31 stay
+    # the golden inputs, criterion 7 and the sides of four at p = 31 pass
+    # the cap and go on to build
     for p, max_side in ((97, 3), (3137, 3), (31, 4), (211, 4), (53, 5),
                         (23, 6)):
-        ff.check_scan("bipartite", p, max_side)
+        with pytest.raises(Built):
+            ff_scan_bipartite(FieldConfig(p, 2, 1), max_side)
+
+
+def test_field_config_factors_p_minus_one_by_rho():
+    # two safe primes, where trial division of p - 1 would run to
+    # sqrt(p / 2), and a prime with a smooth p - 1
+    for p, divisors in (
+            (100000000000001099, [2, 50000000000000549]),
+            (18446744073709550147, [2, 9223372036854775073]),
+            (2 ** 61 - 1, [q for q, _ in trial_factor(2 ** 61 - 2)])):
+        assert all(is_prime(q) for q in divisors)
+        config = FieldConfig(p, 2, 1)
+        g = config.g
+        assert g == primitive_root(p)
+        assert all(pow(g, (p - 1) // q, p) != 1 for q in divisors)
+        assert FieldConfig(p, 2, 1, g=g).g == g
+        with pytest.raises(InputError, match="does not generate"):
+            FieldConfig(p, 2, 1, g=pow(g, 2, p))
 
 
 def test_ff_scan_clique_frozen():

@@ -2,7 +2,6 @@
 
 import math
 import random
-import re
 import time
 from collections import Counter
 
@@ -295,13 +294,23 @@ def test_power_side_table_skips_large_primes():
 
 
 def test_prime_roots_match_nthroot_mod():
-    # every residue of every prime below 2000; a scan of the k-th powers
-    # tells residues from non-residues, and sympy gives the roots of each
-    # residue by its own route
+    # a scan of the k-th powers tells residues from non-residues, and sympy
+    # gives the roots of each residue by its own route.  Every residue of
+    # the primes below 300, which take every route: one power, and
+    # Adleman-Manders-Miller over q^e | gcd(k, p - 1) with q^t | p - 1 up
+    # to 2^8.  Up to 2000, seeded residues and k-th powers: 12 of each
+    # where gcd(k, p - 1) > 1, else 3.
+    rng = random.Random(2000)
     for p in primerange(2, 2000):
         for k in range(2, 8):
-            powers = {pow(x, k, p) for x in range(p)}
-            for n in range(p):
+            powers = sorted({pow(x, k, p) for x in range(p)})
+            if p < 300:
+                residues = range(p)
+            else:
+                draws = 12 if math.gcd(k, p - 1) > 1 else 3
+                residues = rng.sample(range(p), draws) + \
+                    rng.sample(powers, min(draws, len(powers)))
+            for n in residues:
                 got = _prime_roots(k, n, p)
                 if n in powers:
                     assert got == nthroot_mod(n, k, p, all_roots=True), \
@@ -345,11 +354,18 @@ def _trial_division_table(k, n, N):
 
 
 def test_power_side_table_matches_trial_division():
+    # every shift at the small heights; at 5000 and 40000, where the sieve
+    # and the split of what it leaves do the most, the shifts +-1, +-2,
+    # +-100 and 8 seeded others
+    rng = random.Random(40000)
+    shifts = [n for n in range(-100, 101) if n]
     for k in range(3, 7):
-        for n in range(-100, 101):
-            if n == 0:
-                continue
-            for N in (1, 2, 7, 60, 120, 400, 5000, 40000):
+        for n in shifts:
+            for N in (1, 2, 7, 60, 120, 400):
+                assert _power_side_table(k, n, N) == \
+                    _trial_division_table(k, n, N), (k, n, N)
+        for n in {1, -1, 2, -2, 100, -100, *rng.sample(shifts, 8)}:
+            for N in (5000, 40000):
                 assert _power_side_table(k, n, N) == \
                     _trial_division_table(k, n, N), (k, n, N)
     _power_side_table.cache_clear()
@@ -435,25 +451,32 @@ def test_band_of_the_height_alone_builds_no_table(monkeypatch):
         assert got == brute_force_tuples(cfg, 300, 2), n
 
 
-def test_search_work_cap_refuses_before_building(monkeypatch):
+def test_search_cap_refuses_before_building(monkeypatch):
     def spy(*args):
-        raise AssertionError("built before the work was estimated")
+        raise AssertionError("built before the cost was estimated")
 
     for name in ("_row", "_power_side_table", "kth_power_residues"):
         monkeypatch.setattr(search, name, spy)
-    for run in (search_tuples, search_bipartite):
-        for k, N in ((3, 10 ** 12), (2, 10 ** 4), (10 ** 9, 10 ** 8)):
+    # far too tall; residue rows past the time cap at k = 2; a huge degree;
+    # a shift so negative that the band is every multiplier and the sieve
+    # would hold about 0.7 N values
+    for k, n, N in ((3, 1, 10 ** 12), (2, 1, 40000), (10 ** 9, 1, 10 ** 8),
+                    (2, -10 ** 14 // 2, 10 ** 7)):
+        for run in (search_tuples, search_bipartite):
             with pytest.raises(InputError, match="above the cap"):
-                run(TupleConfig(k=k, n=1), SearchBudget(height=N))
-    # the largest inputs of the tests and the bench stay inside the cap
-    monkeypatch.undo()
-    monkeypatch.setattr(search, "SEARCH_WORK_CAP", 0)
-    for k, n, N in ((2, 1, 6000), (2, -3, 6000), (3, -2, 40000),
-                    (3, 1, 10 ** 7)):
-        with pytest.raises(InputError) as refused:
-            search._rows(k, n, N)
-        work = int(re.search(r"about (\d+) steps", str(refused.value))[1])
-        assert work <= 2 * 10 ** 7, (k, n, N, work)
+                run(TupleConfig(k=k, n=n), SearchBudget(height=N))
+
+
+def test_search_cost_admits_the_known_inputs():
+    # the largest inputs of the tests and the bench, k = 2 well past their
+    # N = 6000, and a sieve over 0.7 N values all fall inside both caps
+    for k, n, N in ((2, 1, 6000), (2, -3, 6000), (2, 1, 20000),
+                    (2, -1, 20000), (3, -2, 40000), (3, 1, 10 ** 7),
+                    (4, 1, 10 ** 7), (2, -10 ** 10 // 2, 10 ** 5)):
+        a0 = _band_start(k, n, N)
+        ns, size = search._search_cost(k, n, N, a0 if a0 < N else N + 1)
+        assert ns <= search.SEARCH_SECONDS_CAP * 10 ** 9, (k, n, N)
+        assert size <= search.SEARCH_BYTES_CAP, (k, n, N)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
