@@ -173,16 +173,34 @@ def tuple_size_bound_closed(n: int, k: int) -> float:
 
 
 def tuple_size_small_regime(n: int, k: int) -> bool:
-    """True when |n| >= 2 and k >= 2 log|n| + 2, forcing the closed bound <= 19."""
+    """True when |n| >= 2 and k >= 2 log|n| + 2, forcing the closed bound <= 19.
+
+    That is n^2 < e^(k-2), never a tie: e^(k-2) is irrational for k >= 3.
+    2^(k-2) < e^(k-2) < 3^(k-2) settles most shifts; the rest bracket e
+    between partial sums of sum 1/i! and their tail bound, doubling the
+    terms until n^2 falls outside the bracket raised to k - 2.
+    """
     if n == 0:
         raise InputError("shift n must be nonzero")
     if k < 3:
         raise InputError(f"bound defined for k >= 3, got {k}")
     if abs(n) < 2:
         return False
-    from mpmath import mp
-    with mp.workprec(120):
-        return mp.mpf(k) >= 2 * mp.log(abs(n)) + 2
+    m, j = n * n, k - 2
+    if m.bit_length() <= j:
+        return True  # m < 2^j
+    if m >= 3 ** j:
+        return False
+    terms = 16
+    while True:
+        lo = sum(Fraction(1, math.factorial(i)) for i in range(terms))
+        # sum_{i >= t} 1/i! < (t + 1) / (t * t!)
+        hi = lo + Fraction(terms + 1, terms * math.factorial(terms))
+        if m < lo ** j:
+            return True
+        if m > hi ** j:
+            return False
+        terms *= 2
 
 
 def large_element_exponents(k: int) -> tuple[Fraction, Fraction]:

@@ -2,15 +2,15 @@
 
 The kernel: every cofactor b of a multiplier a with a*b + n = x^k comes
 from a power x^k, so candidates are enumerated on the power side and
-mapped back, never by scanning b.  A multiplier within the power range
-steps through the residues x^k ≡ n (mod a), found by one O(a) scan of the
-classes mod a.  Above it, cofactors come from one divisor table of the
-values x^k - n, built once per (k, n, height) by sieving those values with
-the roots of x^k ≡ n modulo each prime; a point query at or above the
-height tests each x directly.  Each search builds the row of every
-multiplier once, and reads the whole final band of multipliers above their
-power range off the table in one pass; a search whose estimated time or
-memory passes its cap is refused before any row is built.  Tuple search
+mapped back, never by scanning b.  Each search reads one graph, every
+multiplier with a partner mapped to its partners: the divisor table of the
+values x^k - n, built by sieving them with the roots of x^k ≡ n modulo each
+prime, when the multipliers below the height lie above their power range,
+and otherwise (k = 2 with n >= 1 - N, or a height below about
+n^(1/(k-1))) rows that step through the residues
+x^k ≡ n (mod a), found by one O(a) scan, with a point query above the
+range.  A search or candidate query whose estimated cost passes its cap is
+refused before any row is built.  Tuple search
 is depth-first extension over intersected candidate sets; an exact
 gap-principle floor cross-checks every deep extension.  Bipartite search
 enumerates closed partner sets: by the symmetry of a*b + n = x^k, every
@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import merge
+from itertools import islice
 
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
                    gap_lower_bound)
@@ -40,16 +42,19 @@ SEARCH_SECONDS_CAP = 60
 SEARCH_BYTES_CAP = 2 * 2 ** 30
 # What one unit of a search costs at most, in (nanoseconds, bytes), measured
 # on a 2-core AMD EPYC box under CPython 3.11 over search_tuples and
-# search_bipartite up to N = 18000 at k = 2 with n >= 1 - N, N = 6 * 10^5
-# at k = 2 with n = -N^2 / 2 and N = 10^7 at k >= 3: a residue test below
-# the band start (the walks of the dense k = 2 searches included), with the
-# rows it builds; a sieved value x^k - n, with its factors, table entries
-# and walk, at k = 2, 3, 4 and any larger k (x^k - n splits into more
-# factors, with more divisors, as k grows); a row of the band.
+# search_bipartite up to N = 18000 at k = 2 with n >= 1 - N, 3 * 10^5 at
+# n = -N, 6 * 10^5 at n = -N^2 / 2 and 10^7 at k >= 3: a residue test of a
+# k = 2 row (the dense walk included), with the rows it builds; a sieved
+# value x^k - n, with its factors and table entries, at k = 2, 3, 4 and any
+# larger k (x^k - n splits into more factors, with more divisors, as k
+# grows); a multiplier up to N (the whole walk at k >= 3).  The bipartite
+# walk over a k = 2 table grows faster than X: at n = -N it took 540, 830
+# and 780 ns times X * sqrt(X) at N = 3 * 10^4, 10^5 and 3 * 10^5.
 _RESIDUE_COST = (120, 6000)
-_SIEVED_COST = ((25_000, 600), (40_000, 3500), (80_000, 14_000),
+_SIEVED_COST = ((25_000, 1700), (40_000, 3500), (80_000, 14_000),
                 (150_000, 50_000))
 _ROW_COST = (1000, 24)
+_WALK_NS = 1000
 
 
 @dataclass(frozen=True)
@@ -210,13 +215,8 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     """All b in [1, N] with a*b + n a k-th power of a positive integer.
 
     A multiplier within the power range (a <= xmax) steps through the
-    residues x^k ≡ n (mod a), an O(a) scan.  One above it reads its
-    cofactors from the power-side divisor table when a < N, and otherwise
-    tests each x <= xmax directly.  That point query serves a = N, which at
-    k = 2 is often the only multiplier above its power range and would not
-    repay a table build, and a > N from candidates_for.  The searches call
-    this only below the band start of _rows; candidates_for calls it for
-    every multiplier it is given.
+    residues x^k ≡ n (mod a), an O(a) scan; one above it tests each
+    x <= xmax directly.  Either route tests at most about 2 * xmax values.
     """
     limit = a * N + n
     if limit < 1:
@@ -227,8 +227,6 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     out = []
     if a > xmax:
         # fewer powers than residue classes
-        if a < N:
-            return _power_side_table(k, n, N).get(a, ())
         target = n % a
         xs = (x for x in range(1, xmax + 1) if pow(x, k, a) == target)
     else:
@@ -251,76 +249,70 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
 _candidates_single = lru_cache(maxsize=1 << 15)(_row)
 
 
-def _band_start(k: int, n: int, N: int) -> int:
-    """The least a0 with a^k > a*N + n for every a in [a0, N]: the final band
-    of multipliers above their power range.  N + 1 when a = N is not.
+def _table_built(k: int, n: int, N: int) -> bool:
+    """Whether a search at height N reads its graph off the power-side
+    table: whether N - 1 lies above its power range, (N-1)^k > (N-1)*N + n.
 
-    f(a) = a^k - a*N - n is convex, with its minimum at (N/k)^(1/(k-1)),
-    which lies below c + 1 for c = iroot(N // k, k - 1) (N // 2 at k = 2):
-    f rises from c + 1 on, where a0 is found by bisection, and falls up to
-    c, so a band reaching down to c + 1 covers [1, N] once f(c) > 0.
+    f(a) = a^k - a*N - n is convex with f(N) > f(N-1) >= f(1) for N >= 2,
+    so when N - 1 is above its range so is N, and when it is not, neither
+    is any a < N.  So no table is built at k = 2 when n >= 1 - N, and at
+    k >= 3 only at heights below about n^(1/(k-1)).
     """
-    def above(a: int) -> bool:
-        v = a * N + n
-        # a >= 2 with 2^k > v needs no power built (k may be huge)
-        return v < 1 or (a > 1 and k >= v.bit_length()) or a ** k > v
-
-    if not above(N):
-        return N + 1
-    c = N // 2 if k == 2 else integer_kth_root(N // k, k - 1)
-    lo, hi = c + 1, N
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return 1 if lo == c + 1 and (c < 1 or above(c)) else lo
+    a = N - 1
+    v = a * N + n
+    # a >= 2 with 2^k > v needs no power built (k may be huge)
+    return v < 1 or (a > 1 and k >= v.bit_length()) or a ** k > v
 
 
-def _search_cost(k: int, n: int, N: int, a0: int) -> tuple[int, int]:
-    """Estimated (nanoseconds, bytes) of a search at height N whose band
-    starts at a0 (N + 1 for none): a0^2 / 2 residue tests over the a0 - 1
-    rows below it, X = iroot(N^2 + n, k) sieved values when a table is
-    built, and N rows.  Integers throughout, so no height overflows."""
-    ns = _RESIDUE_COST[0] * a0 * a0 // 2 + _ROW_COST[0] * N
-    size = _RESIDUE_COST[1] * a0 + _ROW_COST[1] * N
+def _search_cost(k: int, n: int, N: int, table: bool) -> tuple[int, int]:
+    """Estimated (nanoseconds, bytes) of a search at height N: N
+    multipliers, and with the table X = iroot(N^2 + n, k) sieved values
+    (and at k = 2 the walk over them), without it N^2 / 2 residue tests.
+    Integers throughout, so no height overflows."""
+    ns, size = _ROW_COST[0] * N, _ROW_COST[1] * N
     top = N * N + n
-    if a0 <= N and top >= 1:
+    if not table:
+        ns += _RESIDUE_COST[0] * N * N // 2
+        size += _RESIDUE_COST[1] * N
+    elif top >= 1:
         X = integer_kth_root(top, k)
         sieve_ns, sieve_bytes = _SIEVED_COST[min(k, 5) - 2]
-        ns += sieve_ns * X
+        ns += sieve_ns * X + (_WALK_NS * X * math.isqrt(X) if k == 2 else 0)
         size += sieve_bytes * X
     return ns, size
 
 
-def _rows(k: int, n: int, N: int) -> list[tuple[int, ...]]:
-    """Row v is the candidate tuple of v for 1 <= v <= N; row 0 is empty.
-
-    The band [a0, N] of _band_start reads its rows from the power-side
-    table in one pass, and each v < a0 takes _row.  A band of {N} alone
-    (k = 2 with 1 - N <= n < 0) or none builds no table: _row answers N by
-    its point query.  Before anything is built, a search is refused whose
-    _search_cost passes SEARCH_SECONDS_CAP or SEARCH_BYTES_CAP.
-    """
-    a0 = _band_start(k, n, N)
-    if a0 >= N:
-        a0 = N + 1
-    ns, size = _search_cost(k, n, N, a0)
+def _refuse_above_cap(what: str, ns: int, size: int = 0):
     if ns > SEARCH_SECONDS_CAP * 10 ** 9 or size > SEARCH_BYTES_CAP:
         raise InputError(
-            f"search at k={k}, n={n}, N={N} needs about {ns // 10 ** 9} s and "
-            f"{size >> 20} MiB, above the cap of {SEARCH_SECONDS_CAP} s and "
+            f"{what} needs about {ns // 10 ** 9} s and {size >> 20} MiB, "
+            f"above the cap of {SEARCH_SECONDS_CAP} s and "
             f"{SEARCH_BYTES_CAP >> 20} MiB; lower N")
-    rows = [()] + [_row(v, k, n, N) for v in range(1, a0)]
-    if a0 <= N:
-        table = _power_side_table(k, n, N)
-        rows += [table.get(a, ()) for a in range(a0, N + 1)]
-    return rows
+
+
+def _graph(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
+    """Every a <= N with a partner b <= N (a*b + n = x^k), mapped to its
+    sorted partners.
+
+    When _table_built, the power-side table is the graph; otherwise every
+    a < N lies within its power range and each row is built by _row.
+    Before anything is built, a search is refused whose _search_cost
+    passes SEARCH_SECONDS_CAP or SEARCH_BYTES_CAP.
+    """
+    table = _table_built(k, n, N)
+    _refuse_above_cap(f"search at k={k}, n={n}, N={N}",
+                      *_search_cost(k, n, N, table))
+    if table:
+        return _power_side_table(k, n, N)
+    return {a: row for a in range(1, N + 1) if (row := _row(a, k, n, N))}
 
 
 def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
-    """Exactly {b <= N : a*b + n is a positive k-th power for every a in A}."""
+    """Exactly {b <= N : a*b + n is a positive k-th power for every a in A}.
+
+    Refused before any row is built when the rows would take more than
+    SEARCH_SECONDS_CAP, at about 2 * iroot(a*N + n, k) tests per row.
+    """
     elems = sorted(set(A))
     if not elems:
         raise InputError("need at least one multiplier")
@@ -328,8 +320,12 @@ def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
         raise InputError(f"multipliers must be positive, got {elems[0]}")
     if N < 1:
         raise InputError(f"height must be >= 1, got {N}")
-    sets = sorted((set(_candidates_single(a, config.k, config.n, N))
-                   for a in elems), key=len)
+    k, n = config.k, config.n
+    tests = sum(integer_kth_root(max(a * N + n, 0), k) for a in elems)
+    _refuse_above_cap(f"candidates at k={k}, n={n}, N={N}",
+                      2 * _RESIDUE_COST[0] * tests)
+    sets = sorted((set(_candidates_single(a, k, n, N)) for a in elems),
+                  key=len)
     out = sets[0]
     for s in sets[1:]:
         out &= s
@@ -359,11 +355,12 @@ def _gap_floor_check(chain: list[int], ext: list[int], config: TupleConfig):
                 f"the gap floor {bound} (k={config.k}, n={config.n})")
 
 
-def _outcome(found, max_results: int, wrap) -> SearchOutcome:
-    """Sort the raw results, keep the first max_results, wrap each one."""
-    found = sorted(found)
-    return SearchOutcome(tuple(map(wrap, found[:max_results])),
-                         len(found) > max_results)
+def _outcome(found, max_results: int, wrap, more=()) -> SearchOutcome:
+    """Sort the raw results, merge in the sorted iterable more, keep the
+    first max_results, wrap each one.  more is read only that far."""
+    kept = list(islice(merge(sorted(found), more), max_results + 1))
+    return SearchOutcome(tuple(map(wrap, kept[:max_results])),
+                         len(kept) > max_results)
 
 
 def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
@@ -373,7 +370,7 @@ def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
     order is lexicographic.
     """
     N = budget.height
-    rows = _rows(config.k, config.n, N)
+    graph = _graph(config.k, config.n, N)
     found = []
 
     def extend(chain: list[int], cand: set[int]):
@@ -384,12 +381,15 @@ def search_tuples(config: TupleConfig, budget: SearchBudget) -> SearchOutcome:
                 found.append(tuple(chain))
             return
         for w in ext:
-            extend(chain + [w], cand.intersection(rows[w]))
+            extend(chain + [w], cand.intersection(graph[w]))
 
-    for c1 in range(1, N + 1):
-        extend([c1], set(rows[c1]))
+    for c1 in sorted(graph):
+        extend([c1], set(graph[c1]))
+    # a multiplier with no partner is a maximal tuple alone
+    alone = ((v,) for v in range(1, N + 1) if v not in graph)
     return _outcome(found, budget.max_results,
-                    lambda t: DiophantineTuple(config, t))
+                    lambda t: DiophantineTuple(config, t),
+                    alone if budget.min_size <= 1 else ())
 
 
 def brute_force_tuples(config: TupleConfig, N: int, min_size: int) -> SearchOutcome:
@@ -453,13 +453,11 @@ def search_bipartite(config: TupleConfig, budget: SearchBudget) -> SearchOutcome
     """
     min_a, min_b = budget.min_size, budget.min_partner
 
-    # row v is N(v); every neighborhood lies in [1, N], so the rows cover
-    # every element a B side can reach.  The empty rows, most of them at
-    # k >= 3, share one frozenset.
-    empty = frozenset()
-    partners = [frozenset(row) if row else empty for row in
-                _rows(config.k, config.n, budget.height)]
-    work = {B for B in partners if len(B) >= min_b}
+    # N(v) of every v with a partner; each element a B side can reach is
+    # a partner of some b, so it has its own neighborhood here
+    partners = {a: frozenset(row) for a, row in
+                _graph(config.k, config.n, budget.height).items()}
+    work = {B for B in partners.values() if len(B) >= min_b}
     seen = set(work)
     found = set()
     while work:

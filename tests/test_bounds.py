@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Rational, continued_fraction_convergents
+from sympy import Integer, Rational, continued_fraction_convergents, exp, floor
 from sympy import continued_fraction_iterator, root
 
 from diotuple.bounds import (
@@ -185,6 +185,21 @@ def test_tuple_size_small_regime():
     assert tuple_size_small_regime(2, 4)  # 4 >= 2 ln 2 + 2 = 3.386...
     with pytest.raises(InputError):
         tuple_size_small_regime(0, 4)
+
+
+def test_tuple_size_small_regime_boundary_against_sympy():
+    # |n| = floor(e^((k-2)/2)) is the largest shift in the small regime and
+    # the next one is outside it, e.g. 54 and 55 at k = 10; from k = 55 on,
+    # the first bracket of e is too wide there and the terms double
+    assert tuple_size_small_regime(54, 10)
+    assert not tuple_size_small_regime(55, 10)
+    for k in range(4, 161):
+        edge = int(floor(exp(Rational(k - 2, 2))))
+        for m in (edge, edge + 1):
+            inside = bool(Integer(m) ** 2 < exp(k - 2))
+            assert inside == (m == edge)
+            for n in (m, -m):
+                assert tuple_size_small_regime(n, k) == inside, (k, n)
 
 
 def test_large_element_exponents():

@@ -1,9 +1,11 @@
 """Search engine: candidate enumeration, maximal tuples, bipartite pairs."""
 
+import importlib.util
 import math
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +26,8 @@ from diotuple.search import (
     search_bipartite,
     search_tuples,
 )
-from diotuple.search import (_band_start, _candidates_single,
-                             _gap_floor_check, _power_side_table,
-                             _prime_roots)
+from diotuple.search import (_candidates_single, _gap_floor_check,
+                             _power_side_table, _prime_roots, _table_built)
 from diotuple.sieve import primes_up_to
 
 
@@ -218,13 +219,13 @@ def test_candidates_errors():
 
 def test_candidates_single_all_paths_vs_naive():
     # a within the power range (a == 1 among them, with the single residue
-    # class mod 1), a beyond it up to the height, and a beyond the height
-    # are separate code paths; all must agree with the definitional loop
+    # class mod 1), a beyond it up to the height, and a beyond the height;
+    # all must agree with the definitional loop
     for a, k, n, N in [
         (1, 3, 1, 300),
         (8, 3, 1, 10_000),  # residue stepping (a <= xmax)
         (72, 3, -5, 10_000),
-        (300, 3, 1, 400),  # power-side table (xmax < a <= N)
+        (300, 3, 1, 400),  # direct x scan (xmax < a <= N)
         (977, 4, 3, 500),  # direct x scan (a >= N)
         (400, 2, -1, 400),
         (400, 2, -3, 400),
@@ -259,7 +260,8 @@ def test_candidates_random_vs_naive():
 
 
 def test_candidates_power_side_table_vs_naive():
-    # every multiplier that reads the divisor table (xmax < a <= N)
+    # every multiplier above its power range (xmax < a <= N), which the
+    # searches read from the divisor table and _row from its point query
     cases = [(k, n, N) for k in range(2, 7)
              for n in (1, -1, 2, -2, 3, -3, 5, -7, 24, 100)
              for N in (1, 2, 7, 60, 120)]
@@ -272,7 +274,7 @@ def test_candidates_power_side_table_vs_naive():
                 assert list(_candidates_single(a, k, n, N)) == \
                     _cands_naive(a, k, n, N), (a, k, n, N)
     # once N exceeds |n|, k = 2 is above its power range only at a = N,
-    # n < 0, which takes the point query instead of the table
+    # n < 0, and then the searches build no table
     assert {(a, n, N) for a, k, n, N in table_path if k == 2 and N >= 60} \
         == {(N, n, N) for N in (60, 120) for n in (-1, -2, -3, -7)}
     # shifts with x^k <= n have powers that give no m >= 1
@@ -371,22 +373,34 @@ def test_power_side_table_matches_trial_division():
     _power_side_table.cache_clear()
 
 
-def test_band_start_matches_definition():
+def test_table_predicate_matches_definition():
+    # the table is built when N - 1 lies above its power range; then every
+    # a in [N - 1, N] does, and otherwise every a < N lies within it
+    def above(a, k, n, N):
+        return a ** k > a * N + n
+
     for k in range(2, 8):
         for n in range(-120, 121):
             if n == 0:
                 continue
             for N in (*range(1, 40), 60, 257, 1000):
-                want = N + 1
-                while want > 1 and (want - 1) ** k > (want - 1) * N + n:
-                    want -= 1
-                assert _band_start(k, n, N) == want, (k, n, N)
-    # the examples of test_table_band_searches_match_references: a band
-    # over every multiplier, and a band of {N} alone
-    assert _band_start(3, -100, 12) == 1
-    assert _band_start(3, 5, 3) == 3
+                table = _table_built(k, n, N)
+                assert table == above(N - 1, k, n, N), (k, n, N)
+                if table:
+                    assert above(N, k, n, N), (k, n, N)
+                else:
+                    assert not any(above(a, k, n, N) for a in range(1, N)), \
+                        (k, n, N)
+    # k = 2 goes without the table when n >= 1 - N, k >= 3 only at heights
+    # below about n^(1/(k-1))
+    assert not _table_built(2, 1 - 1000, 1000)
+    assert _table_built(2, -1000, 1000)
+    assert _table_built(3, 1, 3)
+    assert not _table_built(3, 5, 3)
     # a huge degree builds no huge power
-    assert _band_start(10 ** 12, 1, 10 ** 6) == 2
+    assert _table_built(10 ** 12, 1, 10 ** 6)
+    assert _table_built(10 ** 12, -10 ** 12, 10 ** 6)
+    assert not _table_built(10 ** 12, 1, 1)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -409,9 +423,10 @@ def test_candidates_anti_monotone():
 
 
 def test_each_search_builds_every_row_once(monkeypatch):
-    # a search builds the row of every v below the band start a0 once,
-    # straight from the row function, reads the band [a0, N] from one
-    # table build, and leaves candidates_for's cache as it was
+    # at k >= 3 a search reads its graph from one table build and calls no
+    # _row; at k = 2 with n >= 1 - N it builds the row of every multiplier
+    # once, straight from the row function, and no table; either way it
+    # leaves candidates_for's cache as it was
     calls, builds = Counter(), Counter()
     row, table = search._row, search._power_side_table
 
@@ -426,16 +441,21 @@ def test_each_search_builds_every_row_once(monkeypatch):
     monkeypatch.setattr(search, "_row", counting_row)
     monkeypatch.setattr(search, "_power_side_table", counting_table)
     _candidates_single.cache_clear()
-    cfg, N = TupleConfig(k=3, n=1), 257
-    a0 = _band_start(3, 1, N)
-    assert a0 == 17
-    for run in (search_tuples, search_bipartite):
-        calls.clear()
-        builds.clear()
-        assert run(cfg, SearchBudget(height=N, min_partner=1)).results
-        assert calls == Counter({(v, 3, 1, N): 1 for v in range(1, a0)})
-        assert builds == Counter({(3, 1, N): 1})
-        assert _candidates_single.cache_info().currsize == 0
+    for (k, n, N), rows, tables in (
+            ((3, 1, 257), Counter(), Counter({(3, 1, 257): 1})),
+            ((2, 1, 300), Counter({(a, 2, 1, 300): 1 for a in range(1, 301)}),
+             Counter()),
+            ((2, -299, 300),
+             Counter({(a, 2, -299, 300): 1 for a in range(1, 301)}),
+             Counter())):
+        for run in (search_tuples, search_bipartite):
+            calls.clear()
+            builds.clear()
+            assert run(TupleConfig(k, n),
+                       SearchBudget(height=N, min_partner=1)).results
+            assert calls == rows, (k, n, N)
+            assert builds == tables, (k, n, N)
+            assert _candidates_single.cache_info().currsize == 0
 
 
 def test_band_of_the_height_alone_builds_no_table(monkeypatch):
@@ -458,32 +478,74 @@ def test_search_cap_refuses_before_building(monkeypatch):
     for name in ("_row", "_power_side_table", "kth_power_residues"):
         monkeypatch.setattr(search, name, spy)
     # far too tall; residue rows past the time cap at k = 2; a huge degree;
-    # a shift so negative that the band is every multiplier and the sieve
-    # would hold about 0.7 N values
+    # a shift so negative that the table is the graph and the sieve would
+    # hold about 0.7 N values; the densest k = 2 table, whose bipartite
+    # walk would take over a minute (28.7 s at N = 10^5)
     for k, n, N in ((3, 1, 10 ** 12), (2, 1, 40000), (10 ** 9, 1, 10 ** 8),
-                    (2, -10 ** 14 // 2, 10 ** 7)):
+                    (2, -10 ** 14 // 2, 10 ** 7),
+                    (2, -2 * 10 ** 5, 2 * 10 ** 5)):
         for run in (search_tuples, search_bipartite):
             with pytest.raises(InputError, match="above the cap"):
                 run(TupleConfig(k=k, n=n), SearchBudget(height=N))
 
 
+def test_candidates_cap_refuses_before_building(monkeypatch):
+    # a multiplier within its power range scans its a residue classes: at
+    # a = N = 10^9 that is 10^9 tests, refused before any scan starts, as
+    # is a point query of 10^9 powers above the range
+    def spy(*args):
+        raise AssertionError("scanned before the cost was estimated")
+
+    monkeypatch.setattr(search, "kth_power_residues", spy)
+    for A, k, N in (([10 ** 9], 2, 10 ** 9), ([3, 10 ** 9], 2, 10 ** 9),
+                    ([10 ** 12], 3, 10 ** 15)):
+        with pytest.raises(InputError, match="above the cap"):
+            candidates_for(A, TupleConfig(k=k, n=1), N)
+
+
+def test_candidates_above_the_power_range_build_no_table():
+    # 10^5 lies above its power range at height 3 * 10^7, where the table
+    # would sieve about 10^5 values; the point query tests 14422 powers
+    misses = _power_side_table.cache_info().misses
+    got = candidates_for([10 ** 5], TupleConfig(k=3, n=1), 3 * 10 ** 7)
+    assert got == []
+    assert _power_side_table.cache_info().misses == misses
+
+
 def test_search_cost_admits_the_known_inputs():
-    # the largest inputs of the tests and the bench, k = 2 well past their
-    # N = 6000, and a sieve over 0.7 N values all fall inside both caps
+    # the largest inputs of the tests, k = 2 well past the bench's N = 6000,
+    # and sieves over 0.7 N and N values at k = 2 all fall inside both caps
     for k, n, N in ((2, 1, 6000), (2, -3, 6000), (2, 1, 20000),
                     (2, -1, 20000), (3, -2, 40000), (3, 1, 10 ** 7),
-                    (4, 1, 10 ** 7), (2, -10 ** 10 // 2, 10 ** 5)):
-        a0 = _band_start(k, n, N)
-        ns, size = search._search_cost(k, n, N, a0 if a0 < N else N + 1)
+                    (4, 1, 10 ** 7), (2, -10 ** 10 // 2, 10 ** 5),
+                    (2, -10 ** 5, 10 ** 5)):
+        ns, size = search._search_cost(k, n, N, _table_built(k, n, N))
         assert ns <= search.SEARCH_SECONDS_CAP * 10 ** 9, (k, n, N)
         assert size <= search.SEARCH_BYTES_CAP, (k, n, N)
+
+
+def test_bench_search_inputs_are_admitted():
+    # a cost model change must not turn a bench job into exit 1
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs, _ = workloads.every_input()
+    searches = [argv for argv in argvs if argv[0].startswith("search-")]
+    assert len(searches) == 12
+    for argv in searches:
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        k, n, N = int(flags["--k"]), int(flags["--n"]), int(flags["--N"])
+        ns, size = search._search_cost(k, n, N, _table_built(k, n, N))
+        assert ns <= search.SEARCH_SECONDS_CAP * 10 ** 9, argv
+        assert size <= search.SEARCH_BYTES_CAP, argv
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.integers(3, 6), st.integers(-100, 100).filter(bool),
        st.integers(1, 300), st.integers(1, 3), st.integers(1, 3))
-@example(3, -100, 12, 1, 1)  # the band starts at 1
-@example(3, 5, 3, 1, 1)  # the band is {N}
+@example(3, -100, 12, 1, 1)  # every multiplier above its power range
+@example(3, 5, 3, 1, 1)  # only N above it: no table
 @example(3, 1, 300, 2, 1)
 def test_table_band_searches_match_references(k, n, N, min_a, min_b):
     cfg = TupleConfig(k=k, n=n)
@@ -528,11 +590,33 @@ def test_search_matches_brute_force():
 
 
 def test_search_matches_brute_force_on_the_table_path():
-    # at height 1500 every multiplier above 38 reads the power-side table
+    # at height 1500 the power-side table is the whole graph
     cfg = TupleConfig(k=3, n=1)
     got = _elems(search_tuples(cfg, SearchBudget(height=1500)))
     assert got == _elems(brute_force_tuples(cfg, 1500, 2))
     assert len(got) > 100
+
+
+def test_searches_match_references_with_singletons_and_k2_tables():
+    # min_size = 1 emits every multiplier without a partner alone, merged
+    # into the walk's results; k = 2 with n < 1 - N reads the table alone
+    cases = [(k, n, N) for k in (2, 3, 4) for n in (1, -1, 2, -3)
+             for N in (1, 2, 9, 60, 300)]
+    cases += [(2, n, N) for N in (2, 9, 60, 300)
+              for n in (-N, -2 * N - 1, -N * N // 2, 1 - N * N)]
+    for k, n, N in cases:
+        cfg = TupleConfig(k=k, n=n)
+        for cap in (10 ** 5, 7):
+            budget = SearchBudget(height=N, min_size=1, max_results=cap)
+            want = brute_force_tuples(cfg, N, 1)
+            assert search_tuples(cfg, budget) == SearchOutcome(
+                want.results[:cap], len(want.results) > cap), (k, n, N, cap)
+        if N <= 60:
+            for min_b in (1, 2):
+                budget = SearchBudget(height=N, min_size=1,
+                                      min_partner=min_b)
+                assert search_bipartite(cfg, budget) == \
+                    reference_search_bipartite(cfg, budget), (k, n, N)
 
 
 def test_search_results_are_maximal():
