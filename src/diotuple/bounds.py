@@ -20,6 +20,10 @@ logger = logging.getLogger(__name__)
 
 # thue_scan refuses a small-x zone wider than this (about 5 s of scanning)
 THUE_ZONE_CAP = 10 ** 6
+# and a degree above this: its powers have k times the bits of their base,
+# (2c)^k and a * 2^(kP) among them (at k = 100 and a, b, c, X near 10^18 a
+# scan takes a few ms, at k = 1000 about 3 s)
+THUE_DEGREE_CAP = 100
 
 
 class TableConstants(NamedTuple):
@@ -328,10 +332,11 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
 
     The cost is O(x0) for the first zone and O(log X) for the second, all
     in exact integer arithmetic.  x0 grows like (2c)^(1/(k-2)), linearly in
-    c at k = 3, so a first zone wider than THUE_ZONE_CAP is rejected with
-    InputError before any scanning.  Solutions are split by the Thue
-    threshold beta_k * c^alpha_k (compared exactly); at most one primitive
-    solution may sit above it.
+    c at k = 3, so a first zone wider than THUE_ZONE_CAP, or a degree
+    above THUE_DEGREE_CAP, is rejected with InputError before any
+    scanning.  Solutions are split by the Thue threshold
+    beta_k * c^alpha_k (compared exactly); at most one primitive solution
+    may sit above it.
     """
     if a < 1 or b < 1:
         raise InputError("coefficients must be positive")
@@ -339,6 +344,9 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
         raise InputError(f"slack c must be >= 0, got {c}")
     if X < 1:
         raise InputError(f"box must satisfy X >= 1, got {X}")
+    if k > THUE_DEGREE_CAP:
+        raise InputError(
+            f"thue-scan is capped at degree k <= {THUE_DEGREE_CAP}, got {k}")
     alpha, beta = evertse_constants(k)
     x0 = integer_kth_root((2 * c) ** k // (a ** (k - 1) * b), k * (k - 2)) + 1
     width = min(x0 - 1, X)

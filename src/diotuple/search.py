@@ -3,14 +3,13 @@
 The kernel: every cofactor b of a multiplier a with a*b + n = x^k comes
 from a power x^k, so candidates are enumerated on the power side and
 mapped back, never by scanning b.  Each search reads one graph, every
-multiplier with a partner mapped to its partners: the divisor table of the
-values x^k - n, built by sieving them with the roots of x^k ≡ n modulo each
-prime, when the multipliers below the height lie above their power range,
-and otherwise (k = 2 with n >= 1 - N, or a height below about
-n^(1/(k-1))) rows that step through the residues
-x^k ≡ n (mod a), found by one O(a) scan, with a point query above the
-range.  A search or candidate query whose estimated cost passes its cap is
-refused before any row is built.  Tuple search
+multiplier with a partner mapped to its partners.  At k = 2 with |n| < N
+the graph is built row by row: each row steps through the residues
+x^2 ≡ n (mod a), found by one O(a) scan, with a point query above the
+power range.  Everywhere else it is the divisor table of the values
+x^k - n in [1, N^2], built by sieving them with the roots of x^k ≡ n
+modulo each prime.  A search or candidate query whose estimated cost
+passes its cap is refused before any row is built.  Tuple search
 is depth-first extension over intersected candidate sets; an exact
 gap-principle floor cross-checks every deep extension.  Bipartite search
 enumerates closed partner sets: by the symmetry of a*b + n = x^k, every
@@ -55,6 +54,7 @@ _SIEVED_COST = ((25_000, 1700), (40_000, 3500), (80_000, 14_000),
                 (150_000, 50_000))
 _ROW_COST = (1000, 24)
 _WALK_NS = 1000
+_CANDIDATE_BYTES = 96  # a row's x and cofactor b, with their list slots
 
 
 @dataclass(frozen=True)
@@ -158,50 +158,56 @@ def _prime_roots(k: int, n: int, p: int) -> list[int]:
     return sorted(roots)
 
 
+def _power_range(k: int, n: int, N: int) -> tuple[int, int]:
+    """(first, X): the x with x^k - n in [1, N^2] run from first to X; none
+    when first > X.  Every pair a*b + n = x^k with a, b <= N has such an x."""
+    top = N * N + n
+    X = integer_kth_root(top, k) if top > 0 else 0
+    first = integer_kth_root(n, k) + 1 if n > 0 else 1
+    return first, X
+
+
 @lru_cache(maxsize=16)
 def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     """Every a <= N mapped to its sorted cofactors b <= N with a*b + n = x^k.
 
-    Each x <= X = iroot(N^2 + n, k) gives m = x^k - n, and every
-    factorization m = a*b with a, b <= N is one entry; a prime factor of m
-    above N fits in neither a nor b, so such m contribute nothing.  The
-    values are sieved: each prime p <= min(X, N) is divided out along the
-    classes of the roots of x^k ≡ n (mod p).  What is left of m has every
-    prime factor above that bound and is split by exact.factor.  Cofactors
-    arrive in increasing x, hence already sorted.
+    Each x in _power_range gives m = x^k - n, and every factorization
+    m = a*b with a, b <= N is one entry; a prime factor of m above N fits
+    in neither a nor b, so such m contribute nothing.  The values are
+    sieved: each prime p <= min(X, N) is divided out along the classes of
+    the roots of x^k ≡ n (mod p).  What is left of m has every prime factor
+    above that bound and is split by exact.factor.  Cofactors arrive in
+    increasing x, hence already sorted.
     """
-    top = N * N + n
-    if top < 1:
+    first, X = _power_range(k, n, N)
+    if first > X:
         return {}
-    X = integer_kth_root(top, k)
-    first = integer_kth_root(n, k) + 1 if n > 0 else 1  # x^k - n >= 1 here
-    rest = [0] * first + [x ** k - n for x in range(first, X + 1)]
-    small: dict[int, list[tuple[int, int]]] = {}  # x -> the primes <= bound
+    rest = [x ** k - n for x in range(first, X + 1)]  # x at index x - first
+    small: dict[int, list[tuple[int, int]]] = {}  # index -> primes <= bound
     bound = min(X, N)
     for p in primes_up_to(bound):
         for root in _prime_roots(k, n, p):
-            for x in range(first + (root - first) % p, X + 1, p):
-                v, e = rest[x] // p, 1
+            for i in range((root - first) % p, len(rest), p):
+                v, e = rest[i] // p, 1
                 while v % p == 0:
                     v //= p
                     e += 1
-                rest[x] = v
-                small.setdefault(x, []).append((p, e))
+                rest[i] = v
+                small.setdefault(i, []).append((p, e))
     table: dict = {}  # a -> a list of cofactors, then its tuple
-    for x in range(first, X + 1):
-        factors = small.get(x, [])
-        r = rest[x]
+    for i, r in enumerate(rest):
+        factors = small.get(i, [])
         if r > 1:
             # every prime factor of r is above bound: below bound^2, r is one
             large = [(r, 1)] if r <= bound * bound else factor(r)
             if large[-1][0] > N:
                 continue  # a prime factor fits in neither a nor b
             factors += large
-        m = x ** k - n
+        m = (first + i) ** k - n
         divisors = [1]
         for p, e in factors:
-            divisors += [d * p ** i for d in divisors for i in range(1, e + 1)
-                         if d * p ** i <= N]
+            divisors += [d * p ** j for d in divisors for j in range(1, e + 1)
+                         if d * p ** j <= N]
         lo = -(-m // N)  # b = m // a <= N
         for a in divisors:
             if a >= lo:
@@ -249,37 +255,26 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
 _candidates_single = lru_cache(maxsize=1 << 15)(_row)
 
 
-def _table_built(k: int, n: int, N: int) -> bool:
-    """Whether a search at height N reads its graph off the power-side
-    table: whether N - 1 lies above its power range, (N-1)^k > (N-1)*N + n.
-
-    f(a) = a^k - a*N - n is convex with f(N) > f(N-1) >= f(1) for N >= 2,
-    so when N - 1 is above its range so is N, and when it is not, neither
-    is any a < N.  So no table is built at k = 2 when n >= 1 - N, and at
-    k >= 3 only at heights below about n^(1/(k-1)).
-    """
-    a = N - 1
-    v = a * N + n
-    # a >= 2 with 2^k > v needs no power built (k may be huge)
-    return v < 1 or (a > 1 and k >= v.bit_length()) or a ** k > v
+def _residue_route(k: int, n: int, N: int) -> bool:
+    """Whether a search reads residue rows, not the table: with |n| < N a
+    residue class of row a holds at most about sqrt(2N/a) + 1 candidates."""
+    return k == 2 and abs(n) < N
 
 
-def _search_cost(k: int, n: int, N: int, table: bool) -> tuple[int, int]:
+def _search_cost(k: int, n: int, N: int) -> tuple[int, int]:
     """Estimated (nanoseconds, bytes) of a search at height N: N
-    multipliers, and with the table X = iroot(N^2 + n, k) sieved values
-    (and at k = 2 the walk over them), without it N^2 / 2 residue tests.
-    Integers throughout, so no height overflows."""
+    multipliers, plus N^2 / 2 residue tests on the residue route, else the
+    values of _power_range sieved (at least the min(X, N) sieving primes)
+    and at k = 2 the walk over them.  Integers, so no height overflows."""
     ns, size = _ROW_COST[0] * N, _ROW_COST[1] * N
-    top = N * N + n
-    if not table:
-        ns += _RESIDUE_COST[0] * N * N // 2
-        size += _RESIDUE_COST[1] * N
-    elif top >= 1:
-        X = integer_kth_root(top, k)
-        sieve_ns, sieve_bytes = _SIEVED_COST[min(k, 5) - 2]
-        ns += sieve_ns * X + (_WALK_NS * X * math.isqrt(X) if k == 2 else 0)
-        size += sieve_bytes * X
-    return ns, size
+    if _residue_route(k, n, N):
+        return ns + _RESIDUE_COST[0] * N * N // 2, size + _RESIDUE_COST[1] * N
+    first, X = _power_range(k, n, N)
+    values = max(X - first + 1, 0)
+    units = max(values, min(X, N))
+    sieve_ns, sieve_bytes = _SIEVED_COST[min(k, 5) - 2]
+    walk = _WALK_NS * values * math.isqrt(values) if k == 2 else 0
+    return ns + sieve_ns * units + walk, size + sieve_bytes * units
 
 
 def _refuse_above_cap(what: str, ns: int, size: int = 0):
@@ -294,24 +289,24 @@ def _graph(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     """Every a <= N with a partner b <= N (a*b + n = x^k), mapped to its
     sorted partners.
 
-    When _table_built, the power-side table is the graph; otherwise every
-    a < N lies within its power range and each row is built by _row.
-    Before anything is built, a search is refused whose _search_cost
-    passes SEARCH_SECONDS_CAP or SEARCH_BYTES_CAP.
+    On the _residue_route each row is built by _row; otherwise the
+    power-side table is the graph.  Before anything is built, a search is
+    refused whose _search_cost passes SEARCH_SECONDS_CAP or
+    SEARCH_BYTES_CAP.
     """
-    table = _table_built(k, n, N)
     _refuse_above_cap(f"search at k={k}, n={n}, N={N}",
-                      *_search_cost(k, n, N, table))
-    if table:
-        return _power_side_table(k, n, N)
-    return {a: row for a in range(1, N + 1) if (row := _row(a, k, n, N))}
+                      *_search_cost(k, n, N))
+    if _residue_route(k, n, N):
+        return {a: row for a in range(1, N + 1) if (row := _row(a, k, n, N))}
+    return _power_side_table(k, n, N)
 
 
 def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     """Exactly {b <= N : a*b + n is a positive k-th power for every a in A}.
 
-    Refused before any row is built when the rows would take more than
-    SEARCH_SECONDS_CAP, at about 2 * iroot(a*N + n, k) tests per row.
+    Refused before any row is built when the rows would pass either cap,
+    at about 2 * iroot(a*N + n, k) tests per row, each charged per 64-bit
+    word of a*N + n and the bytes of one cofactor b <= N (7 bits a byte).
     """
     elems = sorted(set(A))
     if not elems:
@@ -321,9 +316,13 @@ def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     if N < 1:
         raise InputError(f"height must be >= 1, got {N}")
     k, n = config.k, config.n
-    tests = sum(integer_kth_root(max(a * N + n, 0), k) for a in elems)
-    _refuse_above_cap(f"candidates at k={k}, n={n}, N={N}",
-                      2 * _RESIDUE_COST[0] * tests)
+    ns = size = 0
+    for a in elems:
+        v = max(a * N + n, 0)
+        tests = 2 * integer_kth_root(v, k)
+        ns += _RESIDUE_COST[0] * tests * (1 + v.bit_length() // 64)
+        size += tests * (_CANDIDATE_BYTES + N.bit_length() // 7)
+    _refuse_above_cap(f"candidates at k={k}, n={n}, N={N}", ns, size)
     sets = sorted((set(_candidates_single(a, k, n, N)) for a in elems),
                   key=len)
     out = sets[0]

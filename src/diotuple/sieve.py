@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .exact import compare_value_to_power, is_prime, trial_factor
+from .exact import compare_value_to_power, factor, is_prime, trial_factor
 
 # sieve_pipeline refuses a prime window Q above this (about 1.6 s and 72 MB
 # of sieving at Q near 10^7)
@@ -22,10 +22,11 @@ SIEVE_WINDOW_CAP = 10 ** 7
 
 
 def euler_phi(k: int) -> int:
+    """Euler's totient of 1 <= k < 2**64, from exact.factor."""
     if k < 1:
         raise InputError(f"totient argument must be >= 1, got {k}")
     phi = 1
-    for p, e in trial_factor(k):
+    for p, e in factor(k):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 

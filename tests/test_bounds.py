@@ -362,6 +362,22 @@ def test_thue_scan_small_zone_cap(monkeypatch, capsys):
     assert "cap of 40" in capsys.readouterr().err
 
 
+def test_thue_scan_degree_cap(monkeypatch):
+    # a degree above the cap is refused before a power or a root is built
+    import diotuple.bounds as bounds_mod
+
+    assert thue_scan(2, 1, bounds_mod.THUE_DEGREE_CAP, 1, 100).solutions == \
+        ((1, 1),)
+
+    def spy(*args):
+        raise AssertionError("root taken before refusing")
+
+    monkeypatch.setattr(bounds_mod, "integer_kth_root", spy)
+    for k in (bounds_mod.THUE_DEGREE_CAP + 1, 10 ** 18 + 3):
+        with pytest.raises(InputError, match="capped at degree"):
+            thue_scan(2, 1, k, 1, 100)
+
+
 def test_thue_scan_criterion_9_slice_matches_reference():
     # (1,5,4,11), (4,1,4,12) and (5,1,4,11) have a solution at x0 - 2 that
     # is no convergent, (1,6,3,18) and (2,1,3,3) one at x0 itself

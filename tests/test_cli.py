@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -618,3 +619,61 @@ def test_subcommand_loads_only_its_layers(argv, needed, absent):
     loaded = set(probe["modules"])
     assert needed <= loaded
     assert not loaded & absent, sorted(loaded & absent)
+
+
+# every subcommand from a small input, with one of its degree, shift,
+# height, prime, slack or box flags set to the least 19-digit prime
+_BIG = "1000000000000000003"
+_HUGE_BASES = (
+    (["constants", "--k", "3"], ("--k",)),
+    (["bound", "--n", "5", "--k", "3"], ("--n", "--k")),
+    (["search-tuples", "--k", "3", "--n", "1", "--N", "100"],
+     ("--k", "--n", "--N")),
+    (["search-tuples", "--k", "2", "--n", "1", "--N", "100"], ("--n", "--N")),
+    (["search-bipartite", "--k", "3", "--n", "1", "--N", "100"],
+     ("--k", "--n", "--N")),
+    (["search-bipartite", "--k", "2", "--n", "1", "--N", "100"],
+     ("--n", "--N")),
+    (["verify", "--k", "3", "--n", "1", "--tuple", "1,7"], ("--k", "--n")),
+    (["sieve", "--set", "2,9", "--n", "100", "--k", "3", "--L", "1"],
+     ("--k", "--n")),
+    (["sieve", "--audit", "2", "--N", "1000"], ("--N",)),
+    (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3", "--lam",
+      "1"], ("--p", "--k", "--lam")),
+    (["ff-scan", "--mode", "clique", "--p", "97", "--k", "3", "--lam", "1"],
+     ("--p", "--k", "--lam")),
+    (["char-sum", "--p", "97", "--k", "3", "--A", "1,2", "--B", "1,2"],
+     ("--p", "--k")),
+    (["char-sum", "--k", "3", "--max-p", "100"], ("--k", "--max-p")),
+    (["thue-scan", "--a", "2", "--b", "1", "--k", "3", "--c", "1", "--X",
+      "100"], ("--k", "--c", "--X")),
+)
+# sieve_pipeline trial-divides |n| for its shift_prime_drag diagnostic
+_HUGE_HANGS = {("sieve", "--n")}
+
+
+def _huge_inputs():
+    for base, flags in _HUGE_BASES:
+        for flag in flags:
+            argv = list(base)
+            argv[argv.index(flag) + 1] = _BIG
+            marks = [pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 7: trial division of |n|")] \
+                if (base[0], flag) in _HUGE_HANGS else []
+            yield pytest.param(argv, marks=marks,
+                               id=" ".join(argv).replace(_BIG, "BIG"))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("argv", _huge_inputs())
+def test_huge_parameter_is_answered_or_refused(argv):
+    # within 5 s and 1 GiB of address space: an answer or exit 1, never a
+    # hang, a MemoryError or another traceback
+    proc = subprocess.run([sys.executable, "-m", "diotuple", *argv],
+                          capture_output=True, text=True, timeout=5,
+                          env=_CHILD_ENV, preexec_fn=_limit_address_space)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr

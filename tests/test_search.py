@@ -27,7 +27,8 @@ from diotuple.search import (
     search_tuples,
 )
 from diotuple.search import (_candidates_single, _gap_floor_check,
-                             _power_side_table, _prime_roots, _table_built)
+                             _power_side_table, _prime_roots,
+                             _residue_route)
 from diotuple.sieve import primes_up_to
 
 
@@ -373,34 +374,51 @@ def test_power_side_table_matches_trial_division():
     _power_side_table.cache_clear()
 
 
-def test_table_predicate_matches_definition():
-    # the table is built when N - 1 lies above its power range; then every
-    # a in [N - 1, N] does, and otherwise every a < N lies within it
-    def above(a, k, n, N):
-        return a ** k > a * N + n
+def test_residue_route_is_k2_below_the_height():
+    # rows only at k = 2 with |n| < N, whatever the degree or the shift
+    for N in (1, 2, 3, 60, 1000):
+        for n in (-N * N, -N - 1, -N, 1 - N, -1, 1, N - 1, N, N + 1, N ** 4):
+            if n:
+                assert _residue_route(2, n, N) == (abs(n) < N), (n, N)
+                for k in (3, 4, 10 ** 12):
+                    assert not _residue_route(k, n, N), (k, n, N)
+    # there each residue class of row a holds at most sqrt(2N/a) + 1 of
+    # the x <= iroot(a*N + n, 2) the row steps through
+    for N in (2, 3, 60, 1000):
+        for n in (1 - N, -1, 1, N - 1):
+            for a in range(1, N + 1):
+                xmax = math.isqrt(max(a * N + n, 0))
+                assert xmax // a <= math.isqrt(2 * N // a), (a, n, N)
 
-    for k in range(2, 8):
-        for n in range(-120, 121):
-            if n == 0:
-                continue
-            for N in (*range(1, 40), 60, 257, 1000):
-                table = _table_built(k, n, N)
-                assert table == above(N - 1, k, n, N), (k, n, N)
-                if table:
-                    assert above(N, k, n, N), (k, n, N)
-                else:
-                    assert not any(above(a, k, n, N) for a in range(1, N)), \
-                        (k, n, N)
-    # k = 2 goes without the table when n >= 1 - N, k >= 3 only at heights
-    # below about n^(1/(k-1))
-    assert not _table_built(2, 1 - 1000, 1000)
-    assert _table_built(2, -1000, 1000)
-    assert _table_built(3, 1, 3)
-    assert not _table_built(3, 5, 3)
-    # a huge degree builds no huge power
-    assert _table_built(10 ** 12, 1, 10 ** 6)
-    assert _table_built(10 ** 12, -10 ** 12, 10 ** 6)
-    assert not _table_built(10 ** 12, 1, 1)
+
+def _stepped(a, n, N):
+    """How many x the k = 2 row of a steps through: each x <= xmax above the
+    power range, otherwise the members of the residue classes x^2 ≡ n."""
+    limit = a * N + n
+    if limit < 1:
+        return 0
+    xmax = math.isqrt(limit)
+    if a > xmax:
+        return xmax
+    return sum(len(range(r if r >= 1 else a, xmax + 1, a))
+               for r in kth_power_residues(a, 2, n))
+
+
+def test_residue_rows_step_within_their_charge():
+    # _search_cost charges the rows route N^2 / 2 residue tests, the O(a)
+    # residue scans of the rows up to N; the candidates the rows then step
+    # through must not outnumber them.  At |n| < N they do not; far above
+    # the height they do (10^14 at N = 1000 steps through 2 * 10^8), so
+    # widening the route past |n| < N fails here.
+    cases = [(n, N) for N in range(2, 13) for n in range(-2 * N, 2 * N + 1)]
+    cases += [(n, N) for N in (60, 300, 2000)
+              for n in (1 - N, -1, 1, N // 2, N - 1)]
+    cases += [(10 ** 14, 1000), (60 ** 4, 60), (-(60 ** 4), 60)]
+    for n, N in cases:
+        if n and _residue_route(2, n, N):
+            stepped = sum(_stepped(a, n, N) for a in range(1, N + 1))
+            assert stepped <= N * (N + 1) // 2, (n, N)
+    assert sum(_stepped(a, 10 ** 14, 1000) for a in range(1, 1001)) > 10 ** 7
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -424,7 +442,7 @@ def test_candidates_anti_monotone():
 
 def test_each_search_builds_every_row_once(monkeypatch):
     # at k >= 3 a search reads its graph from one table build and calls no
-    # _row; at k = 2 with n >= 1 - N it builds the row of every multiplier
+    # _row; at k = 2 with |n| < N it builds the row of every multiplier
     # once, straight from the row function, and no table; either way it
     # leaves candidates_for's cache as it was
     calls, builds = Counter(), Counter()
@@ -489,6 +507,48 @@ def test_search_cap_refuses_before_building(monkeypatch):
                 run(TupleConfig(k=k, n=n), SearchBudget(height=N))
 
 
+def test_shifts_above_the_height_build_no_rows(monkeypatch):
+    # the table sieves only the x with x^k - n in [1, N^2], none or a
+    # handful here, where rows would step through iroot(n, k) / a
+    # candidates each (k = 2, n = 10^14, N = 1000 took 11 s and 436 MB
+    # that way, and n = 10^22 ran out of memory)
+    def no_row(*args):
+        raise AssertionError("row built")
+
+    monkeypatch.setattr(search, "_row", no_row)
+    for k, n, N in ((2, 10 ** 14, 1000), (2, 10 ** 22, 2),
+                    (3, 10 ** 12, 10 ** 4), (3, 3 ** 40, 1000)):
+        for run in (search_tuples, search_bipartite):
+            _power_side_table.cache_clear()
+            start = time.process_time()
+            run(TupleConfig(k=k, n=n), SearchBudget(height=N))
+            elapsed = time.process_time() - start
+            assert elapsed < 0.1, (k, n, N, run.__name__, elapsed)
+    _power_side_table.cache_clear()
+
+
+def test_searches_match_references_where_the_table_replaced_rows():
+    # the two regimes that read residue rows before and the table now:
+    # k >= 3 with N - 1 within its power range (heights below about
+    # n^(1/(k-1))), and k = 2 with n >= N
+    cases = [(k, n, N) for k in (3, 4, 5) for N in (2, 3, 5, 10, 30, 100)
+             for n in (N ** k, 3 * N ** k + 1, 7 ** k * N ** k, 10 ** 12 + 1)]
+    cases += [(2, n, N) for N in (1, 2, 3, 10, 60, 100)
+              for n in (N, N + 1, 2 * N + 3, N * N, 10 ** 6, 10 ** 8 + 7)]
+    for k, n, N in cases:
+        assert k == 2 or (N - 1) ** k <= (N - 1) * N + n, (k, n, N)
+        cfg = TupleConfig(k=k, n=n)
+        for min_a in (1, 2):
+            assert search_tuples(cfg, SearchBudget(height=N, min_size=min_a)) \
+                == brute_force_tuples(cfg, N, min_a), (k, n, N, min_a)
+            for min_b in (1, 2):
+                budget = SearchBudget(height=N, min_size=min_a,
+                                      min_partner=min_b)
+                assert search_bipartite(cfg, budget) == \
+                    reference_search_bipartite(cfg, budget), \
+                    (k, n, N, min_a, min_b)
+
+
 def test_candidates_cap_refuses_before_building(monkeypatch):
     # a multiplier within its power range scans its a residue classes: at
     # a = N = 10^9 that is 10^9 tests, refused before any scan starts, as
@@ -501,6 +561,11 @@ def test_candidates_cap_refuses_before_building(monkeypatch):
                     ([10 ** 12], 3, 10 ** 15)):
         with pytest.raises(InputError, match="above the cap"):
             candidates_for(A, TupleConfig(k=k, n=1), N)
+    # each test is charged one cofactor's bytes and a time per word of
+    # a*N + n: the row of 2^16 at k = 16, n = 2^16 holds a cofactor of
+    # every even x, 2.1 million at N = 2^336 and 16 times that at 2^400
+    with pytest.raises(InputError, match="MiB, above the cap"):
+        candidates_for([2 ** 16], TupleConfig(k=16, n=2 ** 16), 2 ** 400)
 
 
 def test_candidates_above_the_power_range_build_no_table():
@@ -519,7 +584,7 @@ def test_search_cost_admits_the_known_inputs():
                     (2, -1, 20000), (3, -2, 40000), (3, 1, 10 ** 7),
                     (4, 1, 10 ** 7), (2, -10 ** 10 // 2, 10 ** 5),
                     (2, -10 ** 5, 10 ** 5)):
-        ns, size = search._search_cost(k, n, N, _table_built(k, n, N))
+        ns, size = search._search_cost(k, n, N)
         assert ns <= search.SEARCH_SECONDS_CAP * 10 ** 9, (k, n, N)
         assert size <= search.SEARCH_BYTES_CAP, (k, n, N)
 
@@ -536,7 +601,7 @@ def test_bench_search_inputs_are_admitted():
     for argv in searches:
         flags = dict(zip(argv[1::2], argv[2::2]))
         k, n, N = int(flags["--k"]), int(flags["--n"]), int(flags["--N"])
-        ns, size = search._search_cost(k, n, N, _table_built(k, n, N))
+        ns, size = search._search_cost(k, n, N)
         assert ns <= search.SEARCH_SECONDS_CAP * 10 ** 9, argv
         assert size <= search.SEARCH_BYTES_CAP, argv
 
@@ -545,7 +610,7 @@ def test_bench_search_inputs_are_admitted():
 @given(st.integers(3, 6), st.integers(-100, 100).filter(bool),
        st.integers(1, 300), st.integers(1, 3), st.integers(1, 3))
 @example(3, -100, 12, 1, 1)  # every multiplier above its power range
-@example(3, 5, 3, 1, 1)  # only N above it: no table
+@example(3, 5, 3, 1, 1)  # only N above its power range
 @example(3, 1, 300, 2, 1)
 def test_table_band_searches_match_references(k, n, N, min_a, min_b):
     cfg = TupleConfig(k=k, n=n)

@@ -25,6 +25,17 @@ def test_euler_phi():
         euler_phi(0)
 
 
+def test_euler_phi_of_a_huge_degree():
+    # exact.factor splits k at once below 2^64 and refuses it from there
+    assert euler_phi(10 ** 18 + 3) == 10 ** 18 + 2
+    assert euler_phi(2 ** 63) == 2 ** 62
+    assert euler_phi(3 * 1000000007 ** 2) == 2 * 1000000006 * 1000000007
+    with pytest.raises(InputError):
+        euler_phi(2 ** 64)
+    with pytest.raises(InputError, match="prime window"):
+        sieve_pipeline([2, 9], 100, 10 ** 18 + 3, 1)
+
+
 def test_euler_phi_vs_gcd_count():
     for k in range(1, 200):
         assert euler_phi(k) == sum(1 for a in range(1, k + 1)
