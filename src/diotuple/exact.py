@@ -36,17 +36,20 @@ def integer_kth_root(m: int, k: int) -> int:
     bits = m.bit_length()
     if k >= bits:
         return 1  # 2^k > m
-    if bits <= 512:
-        # float seed; the 1e-9 margin keeps the seed at or above the root
-        r = int((m ** (1.0 / k)) * (1.0 + 1e-9)) + 1
-    else:
-        r = 1 << (bits // k + 1)
-    # Newton from above converges monotonically down to the floor root
-    while True:
-        t = ((k - 1) * r + m // r ** (k - 1)) // k
-        if t >= r:
-            break
-        r = t
+    # m >> kq keeps 52k to 53k - 1 leading bits (all of m when q = 0), so
+    # 2^q times their k-th root is the root to 53 bits; the float keeps 47
+    # of them, and the 2^-40 margin puts the seed above the root
+    q = bits // k - 52
+    q = q if q > 0 else 0
+    r = int(math.exp2(math.log2(m >> k * q) / k) * (1 + 2 ** -40)) + 1 << q
+    if r >> 40:
+        # below 2^40 the seed is at most 3 above the floor root; above,
+        # Newton from above converges monotonically down to it
+        while True:
+            t = ((k - 1) * r + m // r ** (k - 1)) // k
+            if t >= r:
+                break
+            r = t
     # exact correction; never trusts the float path
     while r ** k > m:
         r -= 1

@@ -31,18 +31,19 @@ BIPARTITE_SIDE_CAP = 6
 BIPARTITE_WORK_CAP = 10 ** 7
 
 
+def _generates(g: int, p: int, factors: list[tuple[int, int]]) -> bool:
+    """Whether g generates the multiplicative group mod the prime p, given
+    the factorization of p - 1: g^((p-1)/q) != 1 for every prime q | p - 1."""
+    return all(pow(g, (p - 1) // q, p) != 1 for q, _ in factors)
+
+
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    prime_divisors = [q for q, _ in factor(p - 1)]
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
-            return g
-    raise InvariantViolation(f"no generator found below {p}")
+    factors = factor(p - 1)
+    return next(g for g in range(1, p) if _generates(g, p, factors))
 
 
 def power_classes(p: int, k: int) -> set[int]:
@@ -73,16 +74,9 @@ class FieldConfig:
             raise InputError(f"shift must be in [1, p-1], got {self.lam}")
         if self.g == 0:
             object.__setattr__(self, "g", primitive_root(self.p))
-        elif not self._generates(self.g):
+        elif not (1 <= self.g <= self.p - 1
+                  and _generates(self.g, self.p, factor(self.p - 1))):
             raise InputError(f"{self.g} does not generate the group mod {self.p}")
-
-    def _generates(self, g: int) -> bool:
-        if not 1 <= g <= self.p - 1:
-            return False
-        if self.p == 2:
-            return g == 1
-        return all(pow(g, (self.p - 1) // q, self.p) != 1
-                   for q, _ in factor(self.p - 1))
 
     @property
     def class_size(self) -> int:
@@ -122,15 +116,15 @@ def _partner_rows(config: FieldConfig) -> list[int]:
     classes or at 0, for a in [1, p-1]; bit a is kept and rows[0] = 0.
 
     Bit b of row a is ind[a*b mod p], where ind[x] says whether x + lam lies
-    in S_k u {0}, so row 1 is ind itself.  For a generator g, bit b of row
-    a*g is bit g*b mod p of row a: the next row along the powers of g is the
-    stride-g slice of the current row's bits repeated g times.  A row costs
-    one slice and one base-2 parse of p characters, in a buffer of g*p bytes.
+    in S_k u {0}, so row 1 is ind itself.  For the generator g = config.g,
+    bit b of row a*g is bit g*b mod p of row a: the next row along the
+    powers of g is the stride-g slice of the current row's bits repeated g
+    times.  A row costs one slice and one base-2 parse of p characters, in
+    a buffer of g*p bytes; any generator gives the same rows.
     """
-    p, lam = config.p, config.lam
+    p, lam, g = config.p, config.lam, config.g
     good = power_classes(p, config.k) | {0}
     bits = bytes(48 + ((x + lam) % p in good) for x in range(p))  # b"0", b"1"
-    g = primitive_root(p)
     rows = [0] * p
     a = 1
     for _ in range(p - 1):
@@ -254,8 +248,8 @@ def _clique_graph(config: FieldConfig) -> list[int]:
     return adj
 
 
-def _clique_search(adj: list[int], cands: int, best: int, stop: int,
-                   mirror: bool) -> tuple[int, tuple[int, ...]]:
+def _clique_search(adj: list[int], cands: int, best: int,
+                   stop: int) -> tuple[int, tuple[int, ...]]:
     """Greedy-coloring branch and bound (Tomita & Kameda's MCQ) over cands.
 
     Returns the largest clique size above best and the first clique found at
@@ -264,12 +258,7 @@ def _clique_search(adj: list[int], cands: int, best: int, stop: int,
     on from the highest color down, highest vertex first within a class;
     classes that cannot lift a clique above best are never listed.  The
     search unwinds as soon as best reaches stop.
-    With mirror, the root drops p - v after branching on v: a -> -a is an
-    automorphism of the field graphs, so the candidate set stays symmetric
-    and a clique through -v mirrors one through v.  That keeps the size and
-    changes which clique is found first.
     """
-    p = len(adj)
     # nadj[v] clears v and its neighbors from a mask
     nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
     witness: tuple[int, ...] = ()
@@ -296,15 +285,12 @@ def _clique_search(adj: list[int], cands: int, best: int, stop: int,
             rest ^= cls
             if depth + color > best:
                 classes.append((color, cls))
-        root = mirror and not depth
         for color, cls in reversed(classes):
             while cls:
                 if depth + color <= best:
                     return
                 v = cls.bit_length() - 1
                 cls ^= 1 << v
-                if not cands >> v & 1:
-                    continue  # the mirror of a root vertex already branched on
                 child = cands & adj[v]
                 if depth + 1 + child.bit_count() > best:
                     clique.append(v)
@@ -313,8 +299,6 @@ def _clique_search(adj: list[int], cands: int, best: int, stop: int,
                     if best >= stop:
                         return
                 cands ^= 1 << v
-                if root:
-                    cands &= ~(1 << (p - v))
 
     expand([], cands)
     return best, witness
@@ -334,9 +318,54 @@ def _shift_class_rep(p: int, k: int, lam: int) -> int:
 
 
 def _clique_number(adj: list[int], p: int) -> int:
-    """Pass 1 of ff_scan_clique: the clique number of the graph adj over
-    F_p, proved by the search with the root mirror."""
-    return _clique_search(adj, (1 << p) - 2, 0, p, True)[0]
+    """Pass 1 of ff_scan_clique: the clique number of the graph adj over F_p.
+
+    A branch and bound that colors only what can prune: at depth d with
+    record w, a clique inside w - d color classes has at most w - d
+    vertices and cannot beat w, so only the first w - d classes are
+    colored greedily, and every candidate outside them is branched on,
+    highest vertex first, and dropped after its branch.  What is left is
+    recolored, with fewer classes, when the record rises.  At the root a
+    branch on v also drops p - v: a -> -a is an automorphism of the field
+    graphs, so every clique through -v mirrors one through v.
+    """
+    nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    best = 0
+
+    def expand(depth: int, cands: int):
+        nonlocal best
+        while True:
+            rest = cands
+            for _ in range(best - depth):
+                avail = rest
+                while avail:
+                    low = avail & -avail
+                    rest ^= low
+                    avail &= nadj[low.bit_length() - 1]
+                if not rest:
+                    return
+            record = best
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                if not cands >> v & 1:
+                    continue  # the mirror of a root vertex already branched on
+                child = cands & adj[v]
+                if depth + 1 + child.bit_count() > best:
+                    if child:
+                        expand(depth + 1, child)
+                    else:
+                        best = depth + 1
+                cands ^= 1 << v
+                if not depth:
+                    cands &= ~(1 << (p - v))
+                if best > record:
+                    break  # recolor for the new record
+            else:
+                return
+
+    expand(0, (1 << p) - 2)
+    return best
 
 
 _class_omega: dict[tuple[int, int, int], int] = {}  # (p, k, class rep) -> w
@@ -348,13 +377,12 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
 
     The witness is the first maximum clique of a plain greedy-coloring branch
     and bound that branches from the highest color down and raises its
-    record as it goes.  Two passes of one search reach the same answer:
+    record as it goes.  Two passes reach the same answer:
 
-    - Pass 1 proves the clique number w.  Since (-a)(-b) = ab, a -> -a is
-      an automorphism of the graph, so at the root each branch on v also
-      drops -v: every clique through -v mirrors one through v already
-      searched.
-    - Pass 2 replays the plain order without the mirror from the record
+    - Pass 1 (_clique_number) proves the clique number w by its own
+      search, which colors only the classes that can prune and uses the
+      automorphism a -> -a ((-a)(-b) = ab) at the root.
+    - Pass 2 (_clique_search) replays the plain order from the record
       w - 1 and stops at the first clique of size w.  A record of w - 1
       prunes at least what the plain search's smaller records pruned, and
       never a branch that holds a w-clique, so the first w-clique it reaches
@@ -375,8 +403,7 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
         if len(_class_omega) >= CLASS_OMEGA_CAP:
             del _class_omega[next(iter(_class_omega))]
         _class_omega[key] = omega
-    best, witness = _clique_search(adj, (1 << p) - 2, omega - 1, omega,
-                                   False)
+    best, witness = _clique_search(adj, (1 << p) - 2, omega - 1, omega)
     if best != omega:
         raise InvariantViolation(
             f"clique replay found size {best}, not {omega}, at p={p} k={k} "

@@ -167,7 +167,6 @@ def _power_range(k: int, n: int, N: int) -> tuple[int, int]:
     return first, X
 
 
-@lru_cache(maxsize=16)
 def _power_side_table(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     """Every a <= N mapped to its sorted cofactors b <= N with a*b + n = x^k.
 
@@ -255,6 +254,17 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
 _candidates_single = lru_cache(maxsize=1 << 15)(_row)
 
 
+@lru_cache(maxsize=1 << 15)
+def _row_charge(a: int, k: int, n: int, N: int) -> tuple[int, int]:
+    """Estimated (nanoseconds, bytes) of _row(a, k, n, N): about
+    2 * iroot(a*N + n, k) tests, each charged per 64-bit word of a*N + n
+    and the bytes of one cofactor b <= N (7 bits a byte)."""
+    v = max(a * N + n, 0)
+    tests = 2 * integer_kth_root(v, k)
+    return (_RESIDUE_COST[0] * tests * (1 + v.bit_length() // 64),
+            tests * (_CANDIDATE_BYTES + N.bit_length() // 7))
+
+
 def _residue_route(k: int, n: int, N: int) -> bool:
     """Whether a search reads residue rows, not the table: with |n| < N a
     residue class of row a holds at most about sqrt(2N/a) + 1 candidates."""
@@ -277,12 +287,13 @@ def _search_cost(k: int, n: int, N: int) -> tuple[int, int]:
     return ns + sieve_ns * units + walk, size + sieve_bytes * units
 
 
-def _refuse_above_cap(what: str, ns: int, size: int = 0):
+def _refuse_above_cap(what: str, k: int, n: int, N: int, ns: int,
+                      size: int):
     if ns > SEARCH_SECONDS_CAP * 10 ** 9 or size > SEARCH_BYTES_CAP:
         raise InputError(
-            f"{what} needs about {ns // 10 ** 9} s and {size >> 20} MiB, "
-            f"above the cap of {SEARCH_SECONDS_CAP} s and "
-            f"{SEARCH_BYTES_CAP >> 20} MiB; lower N")
+            f"{what} at k={k}, n={n}, N={N} needs about {ns // 10 ** 9} s "
+            f"and {size >> 20} MiB, above the cap of {SEARCH_SECONDS_CAP} s "
+            f"and {SEARCH_BYTES_CAP >> 20} MiB; lower N")
 
 
 def _graph(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
@@ -294,8 +305,7 @@ def _graph(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     refused whose _search_cost passes SEARCH_SECONDS_CAP or
     SEARCH_BYTES_CAP.
     """
-    _refuse_above_cap(f"search at k={k}, n={n}, N={N}",
-                      *_search_cost(k, n, N))
+    _refuse_above_cap("search", k, n, N, *_search_cost(k, n, N))
     if _residue_route(k, n, N):
         return {a: row for a in range(1, N + 1) if (row := _row(a, k, n, N))}
     return _power_side_table(k, n, N)
@@ -304,9 +314,8 @@ def _graph(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
 def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     """Exactly {b <= N : a*b + n is a positive k-th power for every a in A}.
 
-    Refused before any row is built when the rows would pass either cap,
-    at about 2 * iroot(a*N + n, k) tests per row, each charged per 64-bit
-    word of a*N + n and the bytes of one cofactor b <= N (7 bits a byte).
+    Refused before any row is built when the rows' _row_charge passes
+    either cap.
     """
     elems = sorted(set(A))
     if not elems:
@@ -318,16 +327,14 @@ def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     k, n = config.k, config.n
     ns = size = 0
     for a in elems:
-        v = max(a * N + n, 0)
-        tests = 2 * integer_kth_root(v, k)
-        ns += _RESIDUE_COST[0] * tests * (1 + v.bit_length() // 64)
-        size += tests * (_CANDIDATE_BYTES + N.bit_length() // 7)
-    _refuse_above_cap(f"candidates at k={k}, n={n}, N={N}", ns, size)
-    sets = sorted((set(_candidates_single(a, k, n, N)) for a in elems),
-                  key=len)
-    out = sets[0]
-    for s in sets[1:]:
-        out &= s
+        row_ns, row_size = _row_charge(a, k, n, N)
+        ns += row_ns
+        size += row_size
+    _refuse_above_cap("candidates", k, n, N, ns, size)
+    rows = sorted([_candidates_single(a, k, n, N) for a in elems], key=len)
+    out = set(rows[0])
+    for row in rows[1:]:
+        out.intersection_update(row)
         if not out:
             break
     return sorted(out)

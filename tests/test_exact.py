@@ -1,6 +1,7 @@
 """Exact-arithmetic primitives: roots, powers, parsing, primality."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from diotuple.exact import (
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.integers(0, 2 ** 700), st.integers(2, 12))
 def test_integer_kth_root_matches_sympy(m, k):
-    # both sides of the 512-bit switch between float and bit-length seeds
+    # radicands below and above 52k bits, where the seed starts shifting
     assert integer_kth_root(m, k) == integer_nthroot(m, k)[0]
 
 
@@ -58,6 +59,32 @@ def test_integer_kth_root_random():
         r = integer_kth_root(m, k)
         assert r >= 0
         assert r**k <= m < (r + 1) ** k
+
+
+def test_integer_kth_root_large_degrees_and_grid():
+    # a 10^5-bit radicand at k = 2000 and a 2 * 10^5-bit one at k = 9800:
+    # seeded from the bit length alone, Newton shrank by about (1 - 1/k)
+    # a step and took 0.76 s and 6.6 s
+    rng = random.Random(20261019)
+    start = time.process_time()
+    for bits, k in ((10 ** 5, 2000), (2 * 10 ** 5, 9800)):
+        m = rng.getrandbits(bits) | 1 << bits
+        r = integer_kth_root(m, k)
+        assert r ** k <= m < (r + 1) ** k, (bits, k)
+    assert time.process_time() - start < 1
+    # radicands on both sides of 52k bits, where the seed starts shifting,
+    # and powers next to roots on both sides of the 2^40 Newton switch
+    for bits in (2, 52, 53, 64, 65, 104, 105, 156, 157, 511, 513, 1100, 5000):
+        for k in (2, 3, 5, 7, 16, 52, 53, 100, 1000, 3000):
+            for _ in range(3):
+                m = rng.getrandbits(bits) | 1 << (bits - 1)
+                r = integer_kth_root(m, k)
+                assert r ** k <= m < (r + 1) ** k, (m, k)
+    for x in (2 ** 40 - 1, 2 ** 40, 2 ** 40 + 1, rng.getrandbits(41),
+              rng.getrandbits(200)):
+        for k in (2, 3, 7):
+            for d in (-1, 0, 1):
+                assert integer_kth_root(x ** k + d, k) == x - (d < 0), (x, k, d)
 
 
 def test_integer_kth_root_exact_powers():

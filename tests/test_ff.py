@@ -428,6 +428,20 @@ def test_ff_scan_clique_matches_single_pass_search_large(p, lam):
     assert ff_scan_clique(cfg) == reference_scan_clique(cfg)
 
 
+def test_clique_number_matches_single_pass_search_on_criterion_7():
+    # pass 1 alone on every shift class of criterion 7 (p <= 200, every
+    # k | p - 1, lam in {1, 2}): the replay cannot see an understated pass
+    # 1, since it stops at the first clique of the size it is given
+    reps = {(p, k, ff._shift_class_rep(p, k, lam))
+            for p in primes_up_to(200) for k in range(2, p)
+            if (p - 1) % k == 0 for lam in (1, 2) if lam <= p - 1}
+    assert len(reps) == 583
+    for p, k, lam in sorted(reps):
+        cfg = FieldConfig(p, k, lam)
+        assert ff._clique_number(_clique_graph(cfg), p) == \
+            reference_scan_clique(cfg).max_size, (p, k, lam)
+
+
 def test_clique_number_is_shared_by_shift_class():
     # a -> u*a maps the graph of lam onto the graph of u^2 lam for u^2 in
     # S_k, so every shift in lam * S_lcm(2,k) has the clique number that

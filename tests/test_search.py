@@ -238,15 +238,17 @@ def test_candidates_single_all_paths_vs_naive():
         assert got == _cands_naive(a, k, n, N)
 
 
-def test_candidates_single_at_the_height_builds_no_table():
+def test_candidates_single_at_the_height_builds_no_table(monkeypatch):
     # at k = 2 the multiplier a = N (n < 0) is often the only one above its
     # power range; a point query answers it without the divisor table
-    search._power_side_table.cache_clear()
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(search, "_power_side_table", no_table)
     _candidates_single.cache_clear()
     for n in (-1, -3):
         assert list(_candidates_single(5000, 2, n, 5000)) == \
             _cands_naive(5000, 2, n, 5000)
-    assert search._power_side_table.cache_info().misses == 0
     _candidates_single.cache_clear()
 
 
@@ -371,7 +373,6 @@ def test_power_side_table_matches_trial_division():
             for N in (5000, 40000):
                 assert _power_side_table(k, n, N) == \
                     _trial_division_table(k, n, N), (k, n, N)
-    _power_side_table.cache_clear()
 
 
 def test_residue_route_is_k2_below_the_height():
@@ -519,12 +520,10 @@ def test_shifts_above_the_height_build_no_rows(monkeypatch):
     for k, n, N in ((2, 10 ** 14, 1000), (2, 10 ** 22, 2),
                     (3, 10 ** 12, 10 ** 4), (3, 3 ** 40, 1000)):
         for run in (search_tuples, search_bipartite):
-            _power_side_table.cache_clear()
             start = time.process_time()
             run(TupleConfig(k=k, n=n), SearchBudget(height=N))
             elapsed = time.process_time() - start
             assert elapsed < 0.1, (k, n, N, run.__name__, elapsed)
-    _power_side_table.cache_clear()
 
 
 def test_searches_match_references_where_the_table_replaced_rows():
@@ -568,13 +567,15 @@ def test_candidates_cap_refuses_before_building(monkeypatch):
         candidates_for([2 ** 16], TupleConfig(k=16, n=2 ** 16), 2 ** 400)
 
 
-def test_candidates_above_the_power_range_build_no_table():
+def test_candidates_above_the_power_range_build_no_table(monkeypatch):
     # 10^5 lies above its power range at height 3 * 10^7, where the table
     # would sieve about 10^5 values; the point query tests 14422 powers
-    misses = _power_side_table.cache_info().misses
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(search, "_power_side_table", no_table)
     got = candidates_for([10 ** 5], TupleConfig(k=3, n=1), 3 * 10 ** 7)
     assert got == []
-    assert _power_side_table.cache_info().misses == misses
 
 
 def test_search_cost_admits_the_known_inputs():
