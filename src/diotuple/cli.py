@@ -10,18 +10,18 @@ invariant check failed (the loudest failure this tool can produce).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
 import sys
-from dataclasses import asdict
-from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
 from .exact import format_rational, parse_integer, parse_natural, parse_rational
 
 # Each subcommand imports the layers it runs, so a process pays only for
-# those (ff-scan never loads search, core, bounds or sieve).
+# those (ff-scan never loads search, core, bounds or sieve), and only the
+# invoked subcommand declares its flags.
 
 logger = logging.getLogger(__name__)
 
@@ -81,19 +81,26 @@ def _refuse(args, flags: tuple[str, ...], where: str):
         raise InputError(f"{', '.join(given)} cannot be used {where}")
 
 
+def _is_fraction(obj) -> bool:
+    """isinstance(obj, Fraction) without importing fractions: no Fraction
+    exists before its module is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(obj, fractions.Fraction)
+
+
 def _jsonify(obj):
     """Wire form: ints as decimal strings, rationals as p/q, floats as-is."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
         return obj
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return format_rational(obj)
     if isinstance(obj, dict):
         return {k if isinstance(k, str) else str(k): _jsonify(v)
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
+    if _is_fraction(obj):
+        return format_rational(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -108,10 +115,10 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, float):
         return repr(value)
+    if _is_fraction(value):
+        return format_rational(value)
     return str(value)
 
 
@@ -224,6 +231,8 @@ def _cmd_sieve(args) -> int:
             elems = [_natural(line, 1) for line in map(str.strip, fh) if line]
     else:
         raise InputError("sieve needs --set or --set-file")
+    from dataclasses import asdict
+
     from . import sieve
     result = sieve.sieve_pipeline(elems, args.n, args.k, args.L)
     _emit({"type": "sieve", **asdict(result)})
@@ -263,6 +272,8 @@ def _cmd_ff_scan(args) -> int:
         _refuse(args, ("--lam",), "with --lam-max")
     if args.mode == "clique":
         _refuse(args, ("--maxA",), "with --mode clique")
+    from dataclasses import asdict
+
     from . import ff
     results = []
     for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam or 1]:
@@ -286,6 +297,8 @@ def _cmd_ff_scan(args) -> int:
 
 
 def _cmd_char_sum(args) -> int:
+    from dataclasses import asdict
+
     from . import ff
     if args.max_p is not None:
         _refuse(args, ("--p", "--A", "--B", "--g"), "with --max-p")
@@ -314,6 +327,8 @@ def _cmd_char_sum(args) -> int:
 
 
 def _cmd_thue_scan(args) -> int:
+    from dataclasses import asdict
+
     from . import bounds
     report = bounds.thue_scan(args.a, args.b, args.k, args.c, args.X)
     _emit({"type": "thue-scan", **asdict(report)})
@@ -322,100 +337,135 @@ def _cmd_thue_scan(args) -> int:
 
 # --------------------------------------------------------------------- wiring
 
-def _build_parser() -> tuple[_Parser, dict]:
-    parser = _Parser(prog="diotuple",
-                     description="search, verify and bound shifted-product tuples")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-    registry: dict[str, _Parser] = {}
-    positive, natural = _arg(_natural, 1), _arg(parse_natural)
-    signed, rational = _arg(parse_integer), _arg(parse_rational)
-    elements, residues = _arg(_naturals, 1), _arg(_naturals, 0)
+_POSITIVE, _NATURAL = _arg(_natural, 1), _arg(parse_natural)
+_SIGNED, _RATIONAL = _arg(parse_integer), _arg(parse_rational)
+_ELEMENTS, _RESIDUES = _arg(_naturals, 1), _arg(_naturals, 0)
 
-    def sub(name: str, func, **kwargs):
-        sp = subs.add_parser(name, **kwargs)
-        sp.set_defaults(func=func)
-        sp.add_argument("--config", help="key=value file with flag defaults")
-        registry[name] = sp
-        return sp
 
-    sp = sub("constants", _cmd_constants, help="per-degree constant tables")
-    sp.add_argument("--k", type=positive, required=True)
+def _constants_flags(sp):
+    sp.add_argument("--k", type=_POSITIVE, required=True)
     sp.add_argument("--format", choices=["csv", "table", "jsonl"], default="csv")
 
-    sp = sub("bound", _cmd_bound, help="evaluate every applicable size bound")
-    sp.add_argument("--n", type=signed, required=True)
-    sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--L", type=rational)
+
+def _bound_flags(sp):
+    sp.add_argument("--n", type=_SIGNED, required=True)
+    sp.add_argument("--k", type=_POSITIVE, required=True)
+    sp.add_argument("--L", type=_RATIONAL)
     sp.add_argument("--format", choices=["jsonl", "csv", "table"], default="jsonl")
 
-    sp = sub("search-tuples", _cmd_search_tuples, help="maximal tuples up to a height")
-    sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--n", type=signed, required=True)
-    sp.add_argument("--N", type=positive, required=True)
-    sp.add_argument("--min-size", type=positive, default=2)
-    sp.add_argument("--max-results", type=positive, default=10 ** 5)
 
-    sp = sub("search-bipartite", _cmd_search_bipartite,
-             help="maximal two-sided pairs up to a height")
-    sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--n", type=signed, required=True)
-    sp.add_argument("--N", type=positive, required=True)
-    sp.add_argument("--minA", type=positive, default=2)
-    sp.add_argument("--minB", type=positive, default=2)
-    sp.add_argument("--max-results", type=positive, default=10 ** 5)
+def _search_tuples_flags(sp):
+    sp.add_argument("--k", type=_POSITIVE, required=True)
+    sp.add_argument("--n", type=_SIGNED, required=True)
+    sp.add_argument("--N", type=_POSITIVE, required=True)
+    sp.add_argument("--min-size", type=_POSITIVE, default=2)
+    sp.add_argument("--max-results", type=_POSITIVE, default=10 ** 5)
 
-    sp = sub("verify", _cmd_verify, help="check a tuple or pair definitionally")
-    sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--n", type=signed, required=True)
-    sp.add_argument("--tuple", type=elements)
-    sp.add_argument("--A", type=elements)
-    sp.add_argument("--B", type=elements)
 
-    sp = sub("sieve", _cmd_sieve, help="larger-sieve size estimate for a set")
-    sp.add_argument("--n", type=signed)
-    sp.add_argument("--k", type=positive)
-    sp.add_argument("--L", type=rational)
-    sp.add_argument("--set", type=elements)
+def _search_bipartite_flags(sp):
+    sp.add_argument("--k", type=_POSITIVE, required=True)
+    sp.add_argument("--n", type=_SIGNED, required=True)
+    sp.add_argument("--N", type=_POSITIVE, required=True)
+    sp.add_argument("--minA", type=_POSITIVE, default=2)
+    sp.add_argument("--minB", type=_POSITIVE, default=2)
+    sp.add_argument("--max-results", type=_POSITIVE, default=10 ** 5)
+
+
+def _verify_flags(sp):
+    sp.add_argument("--k", type=_POSITIVE, required=True)
+    sp.add_argument("--n", type=_SIGNED, required=True)
+    sp.add_argument("--tuple", type=_ELEMENTS)
+    sp.add_argument("--A", type=_ELEMENTS)
+    sp.add_argument("--B", type=_ELEMENTS)
+
+
+def _sieve_flags(sp):
+    sp.add_argument("--n", type=_SIGNED)
+    sp.add_argument("--k", type=_POSITIVE)
+    sp.add_argument("--L", type=_RATIONAL)
+    sp.add_argument("--set", type=_ELEMENTS)
     sp.add_argument("--set-file")
-    sp.add_argument("--audit", type=positive,
+    sp.add_argument("--audit", type=_POSITIVE,
                     help="run this many randomized soundness trials instead")
-    sp.add_argument("--seed", type=natural,
+    sp.add_argument("--seed", type=_NATURAL,
                     help="seed of the audit trials (default 0)")
-    sp.add_argument("--N", type=positive,
+    sp.add_argument("--N", type=_POSITIVE,
                     help="universe bound for audit trials (default 10000)")
 
-    sp = sub("ff-scan", _cmd_ff_scan, help="prime-field product-set scans")
-    sp.add_argument("--p", type=positive, required=True)
-    sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--lam", type=positive)
-    sp.add_argument("--lam-max", type=positive,
+
+def _ff_scan_flags(sp):
+    sp.add_argument("--p", type=_POSITIVE, required=True)
+    sp.add_argument("--k", type=_POSITIVE, required=True)
+    sp.add_argument("--lam", type=_POSITIVE)
+    sp.add_argument("--lam-max", type=_POSITIVE,
                     help="sweep the shift over 1..M instead of --lam")
     sp.add_argument("--mode", choices=["bipartite", "clique"], required=True)
-    sp.add_argument("--maxA", type=positive,
+    sp.add_argument("--maxA", type=_POSITIVE,
                     help="largest side of a bipartite scan (default 3)")
 
-    sp = sub("char-sum", _cmd_char_sum, help="multiplicative character sums")
-    sp.add_argument("--p", type=positive)
-    sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--A", type=residues)
-    sp.add_argument("--B", type=residues)
-    sp.add_argument("--g", type=positive)
-    sp.add_argument("--max-p", type=positive,
+
+def _char_sum_flags(sp):
+    sp.add_argument("--p", type=_POSITIVE)
+    sp.add_argument("--k", type=_POSITIVE, required=True)
+    sp.add_argument("--A", type=_RESIDUES)
+    sp.add_argument("--B", type=_RESIDUES)
+    sp.add_argument("--g", type=_POSITIVE)
+    sp.add_argument("--max-p", type=_POSITIVE,
                     help="sweep primes up to this bound with interval sets")
-    sp.add_argument("--interval", type=positive,
+    sp.add_argument("--interval", type=_POSITIVE,
                     help="interval length for the sweep (default: isqrt(p))")
     sp.add_argument("--format", choices=["csv", "table", "jsonl"], default="csv",
                     help="output format of the --max-p sweep; one explicit "
                          "sum is always a JSONL record")
 
-    sp = sub("thue-scan", _cmd_thue_scan,
-             help="primitive solutions of a two-term power inequality")
-    sp.add_argument("--a", type=positive, required=True)
-    sp.add_argument("--b", type=positive, required=True)
-    sp.add_argument("--k", type=positive, required=True)
-    sp.add_argument("--c", type=natural, required=True)
-    sp.add_argument("--X", type=positive, required=True)
 
+def _thue_scan_flags(sp):
+    sp.add_argument("--a", type=_POSITIVE, required=True)
+    sp.add_argument("--b", type=_POSITIVE, required=True)
+    sp.add_argument("--k", type=_POSITIVE, required=True)
+    sp.add_argument("--c", type=_NATURAL, required=True)
+    sp.add_argument("--X", type=_POSITIVE, required=True)
+
+
+# name: (handler, help line, flag declarations), in the order --help lists them
+_SUBCOMMANDS = {
+    "constants": (_cmd_constants, "per-degree constant tables",
+                  _constants_flags),
+    "bound": (_cmd_bound, "evaluate every applicable size bound", _bound_flags),
+    "search-tuples": (_cmd_search_tuples, "maximal tuples up to a height",
+                      _search_tuples_flags),
+    "search-bipartite": (_cmd_search_bipartite,
+                         "maximal two-sided pairs up to a height",
+                         _search_bipartite_flags),
+    "verify": (_cmd_verify, "check a tuple or pair definitionally",
+               _verify_flags),
+    "sieve": (_cmd_sieve, "larger-sieve size estimate for a set", _sieve_flags),
+    "ff-scan": (_cmd_ff_scan, "prime-field product-set scans", _ff_scan_flags),
+    "char-sum": (_cmd_char_sum, "multiplicative character sums",
+                 _char_sum_flags),
+    "thue-scan": (_cmd_thue_scan,
+                  "primitive solutions of a two-term power inequality",
+                  _thue_scan_flags),
+}
+
+
+def _build_parser(invoked: str | None) -> tuple[_Parser, dict]:
+    """The CLI parser and its subparsers by name.
+
+    Every subcommand is registered with its name and help line, so the
+    top-level help and the invalid-choice error list them all; only the
+    invoked one gets its flags.
+    """
+    parser = _Parser(prog="diotuple",
+                     description="search, verify and bound shifted-product tuples")
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    registry: dict[str, _Parser] = {}
+    for name, (func, summary, flags) in _SUBCOMMANDS.items():
+        sp = registry[name] = subs.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        if name == invoked:
+            sp.add_argument("--config", help="key=value file with flag defaults")
+            flags(sp)
     return parser, registry
 
 
@@ -453,7 +503,10 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     raw = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = _build_parser()
+    # the top-level parser has no flag that takes a value, so the first
+    # argument naming a subcommand is the one argparse runs
+    invoked = next((arg for arg in raw if arg in _SUBCOMMANDS), None)
+    parser, registry = _build_parser(invoked)
     try:
         args = parser.parse_args(_inject_config(raw, registry))
         return args.func(args)
@@ -468,5 +521,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry():
+    """Process entry of the `diotuple` script and `python -m diotuple`.
+
+    Exits with main's return code.  Freezing the heap first keeps the
+    interpreter's shutdown collections off every object that dies with the
+    process; atexit handlers and the stream flushes still run.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 
 from .errors import InputError, InvariantViolation
 
 # Natural numbers are plain Python ints (>= 0); exact rationals are
 # fractions.Fraction, which already guarantees the canonical reduced form.
+# Only parse_rational builds one, so it imports fractions itself and
+# importing this module does not load it.
 
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
@@ -96,6 +97,7 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise InputError(f"not a rational 'p' or 'p/q': {text!r}")
+    from fractions import Fraction
     if "/" in s:
         num, den = s.split("/")
         if int(den) == 0:

@@ -116,13 +116,14 @@ def _partner_rows(config: FieldConfig) -> list[int]:
     classes or at 0, for a in [1, p-1]; bit a is kept and rows[0] = 0.
 
     Bit b of row a is ind[a*b mod p], where ind[x] says whether x + lam lies
-    in S_k u {0}, so row 1 is ind itself.  For the generator g = config.g,
-    bit b of row a*g is bit g*b mod p of row a: the next row along the
-    powers of g is the stride-g slice of the current row's bits repeated g
-    times.  A row costs one slice and one base-2 parse of p characters, in
-    a buffer of g*p bytes; any generator gives the same rows.
+    in S_k u {0}, so row 1 is ind itself.  For a generator g, bit b of row
+    a*g is bit g*b mod p of row a: the next row along the powers of g is the
+    stride-g slice of the current row's bits repeated g times.  A row costs
+    one slice and one base-2 parse of p characters, in a buffer of g*p
+    bytes.  Any generator gives the same rows, so the walk takes the
+    smallest, primitive_root(p), whatever config.g is.
     """
-    p, lam, g = config.p, config.lam, config.g
+    p, lam, g = config.p, config.lam, primitive_root(config.p)
     good = power_classes(p, config.k) | {0}
     bits = bytes(48 + ((x + lam) % p in good) for x in range(p))  # b"0", b"1"
     rows = [0] * p

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .exact import compare_value_to_power, factor, is_prime, trial_factor
+from .exact import (compare_value_to_power, factor, integer_kth_root,
+                    is_prime, trial_factor)
 
 # sieve_pipeline refuses a prime window Q above this (about 1.6 s and 72 MB
 # of sieving at Q near 10^7)
@@ -109,13 +110,22 @@ class PipelineResult:
 def _ceil_power(base: int, expo: Fraction) -> int:
     """ceil(base^expo) exactly, for base >= 1 and rational expo > 0.
 
-    mpmath seeds c at the result's bit size; compare_value_to_power then
-    settles it to the least c with c >= base^expo.  The seed is off by about
-    bits * 2^-guard, so guard bits beyond log2(bits) keep it a step or two
-    from the answer.
+    With expo = p/q, the answer is the integer q-th root r of base^p, or
+    r + 1 when r^q < base^p.  That is computed outright while base^p is
+    small by compare_value_to_power's rule (q <= 64, p * bits <= 2^22).
+    Above it, mpmath seeds c at the result's bit size; compare_value_to_power
+    then settles it to the least c with c >= base^expo.  The seed is off by
+    about bits * 2^-guard, so guard bits beyond log2(bits) keep it a step or
+    two from the answer.
     """
-    from mpmath import mp
     p, q = expo.numerator, expo.denominator
+    if q <= 64 and p * base.bit_length() <= 1 << 22:
+        power = base ** p
+        if q == 1:
+            return power
+        r = integer_kth_root(power, q)
+        return r if r ** q == power else r + 1
+    from mpmath import mp
     bits = p * base.bit_length() // q + 1
     with mp.workprec(bits + bits.bit_length() + 32):
         c = max(1, int(mp.ceil(mp.power(base, mp.mpf(p) / q))))

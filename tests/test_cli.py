@@ -1,9 +1,11 @@
 """Command-line surface: wire formats, exit codes, determinism, config files."""
 
+import importlib
 import json
 import os
 import re
 import resource
+import runpy
 import shlex
 import subprocess
 import sys
@@ -574,12 +576,13 @@ def test_readme_cli_examples_parse():
     lines = [ln for block in re.findall(r"```sh\n(.*?)```", section, re.S)
              for ln in block.splitlines() if ln.startswith("diotuple ")]
     assert len(lines) > 10
-    parser, _ = cli._build_parser()
     for line in lines:
         if "--config" in line:
             continue
+        argv = shlex.split(line, comments=True)[1:]
+        parser, _ = cli._build_parser(argv[0])
         try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
+            parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
 
@@ -594,21 +597,26 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit as exc:
         code = exc.code
 print(json.dumps({"code": code, "modules": sorted(
-    m for m in sys.modules if m == "mpmath" or m.startswith("diotuple."))}))
+    m for m in sys.modules
+    if m in ("mpmath", "fractions", "dataclasses") or m.startswith("diotuple."))}))
 """
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
-    (["--help"], {"diotuple.cli"}, {"mpmath"}),
+    (["--help"], {"diotuple.cli"}, {"mpmath", "fractions", "dataclasses"}),
     (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3",
       "--maxA", "3"],
      {"diotuple.ff"},
-     {"mpmath", "diotuple.search", "diotuple.core", "diotuple.bounds",
-      "diotuple.sieve"}),
+     {"mpmath", "fractions", "diotuple.search", "diotuple.core",
+      "diotuple.bounds", "diotuple.sieve"}),
     (["search-tuples", "--k", "3", "--n", "1", "--N", "2000"],
      {"diotuple.search", "diotuple.core"},
      {"mpmath", "diotuple.ff", "diotuple.bounds"}),
-], ids=["help", "ff-scan", "search-tuples"])
+    (["sieve", "--set", "2,9", "--n", "100", "--k", "3", "--L", "3/2"],
+     {"diotuple.sieve", "fractions"},
+     {"mpmath", "diotuple.search", "diotuple.core", "diotuple.ff",
+      "diotuple.bounds"}),
+], ids=["help", "ff-scan", "search-tuples", "sieve"])
 def test_subcommand_loads_only_its_layers(argv, needed, absent):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           capture_output=True, text=True, timeout=300,
@@ -619,6 +627,59 @@ def test_subcommand_loads_only_its_layers(argv, needed, absent):
     loaded = set(probe["modules"])
     assert needed <= loaded
     assert not loaded & absent, sorted(loaded & absent)
+
+
+# stdout, stderr and exit code of the help and parse-error paths, recorded
+# at 80 columns (argparse wraps help to the terminal width)
+_PINNED = json.loads(Path(__file__).with_name("cli_help_pinned.json").read_text())
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != _PINNED["python"],
+                    reason="argparse formats help differently on other Pythons")
+@pytest.mark.parametrize("case", _PINNED["cases"],
+                         ids=lambda case: " ".join(case["argv"]) or "no-args")
+def test_help_and_parse_errors_pinned(case):
+    proc = subprocess.run(
+        [sys.executable, "-m", "diotuple", *case["argv"]],
+        capture_output=True, text=True, timeout=60,
+        env=dict(_CHILD_ENV, COLUMNS=str(_PINNED["columns"])))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        case["code"], case["stdout"], case["stderr"])
+
+
+def test_console_script_is_the_module_entry(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["diotuple"]
+    module, _, name = target.partition(":")
+
+    class Entered(Exception):
+        pass
+
+    def entered():
+        raise Entered
+
+    monkeypatch.setattr(importlib.import_module(module), name, entered)
+    with pytest.raises(Entered):
+        runpy.run_module("diotuple", run_name="__main__")
+
+
+def test_entry_freezes_the_heap_and_keeps_atexit():
+    # an atexit handler still runs after the entry returns, and sees the
+    # heap frozen; stdout is flushed and the exit code is main's
+    probe = ("import atexit, gc, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+             "from diotuple.cli import entry\n"
+             "sys.argv[1:] = ['search-tuples', '--k', '3', '--n', '1',\n"
+             "                '--N', '2000', '--max-results', '1']\n"
+             "entry()\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=_CHILD_ENV)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[-2])["truncated"] is True
+    assert lines[-1] == "frozen True"
 
 
 # every subcommand from a small input, with one of its degree, shift,

@@ -332,16 +332,23 @@ def test_ff_scan_clique_matches_networkx():
                 assert got == want, (p, k, lam)
 
 
+def _largest_primitive_root(p: int) -> int:
+    factors = trial_factor(p - 1)
+    return next(g for g in range(p - 1, 0, -1)
+                if all(pow(g, (p - 1) // q, p) != 1 for q, _ in factors))
+
+
 def test_clique_graph_matches_pairwise_definition():
     for p in primes_up_to(60):
         for k in range(2, p):
             if (p - 1) % k:
                 continue
             good = power_classes(p, k) | {0}
-            for lam in (1, 2, p - 1):
+            for lam, g in itertools.product((1, 2, p - 1),
+                                            (0, _largest_primitive_root(p))):
                 if lam > p - 1:
                     continue
-                adj = _clique_graph(FieldConfig(p, k, lam))
+                adj = _clique_graph(FieldConfig(p, k, lam, g))
                 assert adj[0] == 0
                 for a in range(1, p):
                     want = sum(1 << b for b in range(1, p)
@@ -352,6 +359,16 @@ def test_clique_graph_matches_pairwise_definition():
                     mirrored = sum(1 << (p - b) for b in range(1, p)
                                    if adj[a] >> b & 1)
                     assert adj[p - a] == mirrored, (p, k, lam, a)
+    # the largest generator of a prime above 3000, on a sample of rows
+    p, k, lam = 3137, 2, 5
+    g = _largest_primitive_root(p)
+    assert g > 3000
+    good = power_classes(p, k) | {0}
+    adj = _clique_graph(FieldConfig(p, k, lam, g))
+    for a in (1, 2, 3, g, p - 2, p - 1, *range(100, p, 97)):
+        want = sum(1 << b for b in range(1, p)
+                   if b != a and (a * b + lam) % p in good)
+        assert adj[a] == want, a
 
 
 def reference_scan_clique(config):

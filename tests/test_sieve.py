@@ -180,6 +180,56 @@ def test_pipeline_exact_cap():
     assert sieve_pipeline([1], 2 ** 67, 3, Fraction(68, 67)).cap == 2 ** 68
 
 
+def _least_power_at_least(base: int, p: int, q: int) -> int:
+    """The least c >= 1 with c^q >= base^p, by bisection."""
+    target = base ** p
+    lo, hi = 1, 2
+    while hi ** q < target:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** q >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_ceil_power_matches_bisection():
+    rng = random.Random(20)
+    cases = [(rng.randint(1, 10 ** rng.randint(1, 12)),
+              Fraction(rng.randint(1, 60), rng.choice((1, 2, 3, 5, 7, 12, 64))))
+             for _ in range(300)]
+    # perfect powers: (c^q)^(p/q) is c^p exactly
+    for _ in range(100):
+        c, q = rng.randint(1, 100), rng.randint(2, 16)
+        cases.append((c ** q, Fraction(rng.randint(1, 3) * q + rng.choice((0, 1)), q)))
+        cases.append((c, Fraction(rng.randint(1, 40), 1)))
+    # denominators above 64 take the mpmath route, ties included
+    for _ in range(60):
+        q = rng.randint(65, 400)
+        cases.append((rng.randint(2, 10 ** 6), Fraction(rng.randint(q // 2, 3 * q), q)))
+    cases += [(2 ** 67, Fraction(68, 67)), (5 ** 65, Fraction(66, 65))]
+    for base, expo in cases:
+        want = _least_power_at_least(base, expo.numerator, expo.denominator)
+        assert sieve._ceil_power(base, expo) == want, (base, expo)
+
+
+def test_ceil_power_settles_small_powers_by_integer_roots(monkeypatch):
+    # q <= 64 with p * bits <= 2^22 never compares against mpmath logs;
+    # q = 65 does, and both agree with the oracle
+    calls = []
+    compare = exact.compare_value_to_power
+    monkeypatch.setattr(sieve, "compare_value_to_power",
+                        lambda *a: calls.append(a) or compare(*a))
+    for base, expo, compared in ((10, Fraction(129, 64), False),
+                                 (10, Fraction(131, 65), True)):
+        want = _least_power_at_least(base, expo.numerator, expo.denominator)
+        assert sieve._ceil_power(base, expo) == want
+        assert bool(calls) == compared, expo
+        calls.clear()
+
+
 def test_pipeline_diagnostics_keys_and_drag():
     res = sieve_pipeline([2, 9, 28], 100, 3, 1)
     assert set(res.diagnostics) == {
