@@ -7,7 +7,6 @@ reported as floats, accurate to far better than 1e-9 relative.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,8 +14,6 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .exact import integer_kth_root, is_perfect_kth_power
-
-logger = logging.getLogger(__name__)
 
 # thue_scan refuses a small-x zone wider than this (about 5 s of scanning)
 THUE_ZONE_CAP = 10 ** 6
@@ -375,7 +372,8 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
                   if Fraction(max(a * x ** k, b * y ** k)) ** q > rhs)
     violation = len(large) >= 2
     if violation:
-        logger.error(
+        import logging
+        logging.getLogger(__name__).error(
             "two primitive solutions above the Thue threshold for "
             "(a,b,k,c)=(%d,%d,%d,%d): %s -- this is a bug", a, b, k, c, large)
     return ThueScanReport(a, b, k, c, X, tuple(sols), large, alpha, beta,

@@ -8,15 +8,12 @@ how fast elements of such sets must grow.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import HypothesisError, InputError
 from .exact import compare_value_to_power, is_perfect_kth_power
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,8 @@ def check_gap_quadruple(a: int, b: int, c: int, d: int,
     bound = gap_lower_bound(a, c, config)
     holds = Fraction(b * d) >= bound
     if not holds:
-        logger.error(
+        import logging
+        logging.getLogger(__name__).error(
             "gap principle violated: b*d = %d < %s for (a,b,c,d)=(%d,%d,%d,%d), "
             "k=%d, n=%d -- this is a bug", b * d, bound, a, b, c, d, k, n)
     return GapCertificate(config, a, b, c, d, bound, holds)
@@ -281,7 +279,8 @@ def check_superexponential_growth(a1: int, a2: int, B: Sequence[int],
         if compare_value_to_power(elems[i + 1], elems[i], theta) < 0:
             failures.append((i + 1, elems[i], elems[i + 1]))
     if failures:
-        logger.error(
+        import logging
+        logging.getLogger(__name__).error(
             "growth chain broke at links %s for a1=%d a2=%d k=%d n=%d -- "
             "this contradicts a theorem and means a bug", failures, a1, a2, k, n)
     return GrowthReport(not failures, theta, len(elems) - 1, tuple(failures),

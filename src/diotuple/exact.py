@@ -25,6 +25,10 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 # Deterministic Miller-Rabin bases for n < 3.3 * 10^24 (covers all of u64).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# integer_kth_root seeds a root above this many bits from the root of the
+# radicand's top bits instead of a float
+_ROOT_SPLIT_BITS = 1024
+
 
 def integer_kth_root(m: int, k: int) -> int:
     """floor(m ** (1/k)) for m >= 0, k >= 2, in exact integer arithmetic."""
@@ -37,12 +41,22 @@ def integer_kth_root(m: int, k: int) -> int:
     bits = m.bit_length()
     if k >= bits:
         return 1  # 2^k > m
-    # m >> kq keeps 52k to 53k - 1 leading bits (all of m when q = 0), so
-    # 2^q times their k-th root is the root to 53 bits; the float keeps 47
-    # of them, and the 2^-40 margin puts the seed above the root
-    q = bits // k - 52
-    q = q if q > 0 else 0
-    r = int(math.exp2(math.log2(m >> k * q) / k) * (1 + 2 ** -40)) + 1 << q
+    if bits // k > _ROOT_SPLIT_BITS:
+        # s = the root of m >> kh gives (s + 1) 2^h above the root, off by
+        # at most 2^h; with 2h <= root bits - k.bit_length() - 2, one
+        # Newton step from there lands on the root or next to it, so each
+        # level runs two full-size steps instead of one per doubling of a
+        # float seed's 47 bits
+        h = (bits // k - k.bit_length() - 2) // 2
+        r = integer_kth_root(m >> k * h, k) + 1 << h
+    else:
+        # m >> kq keeps 52k to 53k - 1 leading bits (all of m when q = 0),
+        # so 2^q times their k-th root is the root to 53 bits; the float
+        # keeps 47 of them, and the 2^-40 margin puts the seed above the
+        # root
+        q = bits // k - 52
+        q = q if q > 0 else 0
+        r = int(math.exp2(math.log2(m >> k * q) / k) * (1 + 2 ** -40)) + 1 << q
     if r >> 40:
         # below 2^40 the seed is at most 3 above the floor root; above,
         # Newton from above converges monotonically down to it

@@ -9,7 +9,6 @@ search, and multiplicative character sums classed by Euler's criterion.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 import sys
 from array import array
@@ -19,8 +18,6 @@ from typing import Iterable
 
 from .errors import InputError, InvariantViolation
 from .exact import factor, is_prime
-
-logger = logging.getLogger(__name__)
 
 CHAR_SUM_CAP = 10 ** 6
 CLIQUE_CAP = 500
@@ -116,16 +113,21 @@ def _partner_rows(config: FieldConfig) -> list[int]:
     classes or at 0, for a in [1, p-1]; bit a is kept and rows[0] = 0.
 
     Bit b of row a is ind[a*b mod p], where ind[x] says whether x + lam lies
-    in S_k u {0}, so row 1 is ind itself.  For a generator g, bit b of row
-    a*g is bit g*b mod p of row a: the next row along the powers of g is the
-    stride-g slice of the current row's bits repeated g times.  A row costs
-    one slice and one base-2 parse of p characters, in a buffer of g*p
-    bytes.  Any generator gives the same rows, so the walk takes the
-    smallest, primitive_root(p), whatever config.g is.
+    in S_k u {0}, so row 1 is ind itself; ind is set at s - lam for the
+    (p-1)/k powers s of g^k, which are S_k, and at -lam.  For a generator
+    g, bit b of row a*g is bit g*b mod p of row a: the next row along the
+    powers of g is the stride-g slice of the current row's bits repeated g
+    times.  A row costs one slice and one base-2 parse of p characters, in
+    a buffer of g*p bytes.  Any generator gives the same rows, so the walk
+    takes the smallest, primitive_root(p), whatever config.g is.
     """
     p, lam, g = config.p, config.lam, primitive_root(config.p)
-    good = power_classes(p, config.k) | {0}
-    bits = bytes(48 + ((x + lam) % p in good) for x in range(p))  # b"0", b"1"
+    bits = bytearray(b"0" * p)  # ind as the characters "0" and "1"
+    bits[-lam % p] = 49
+    h, s = pow(g, config.k, p), 1
+    for _ in range((p - 1) // config.k):
+        bits[(s - lam) % p] = 49
+        s = s * h % p
     rows = [0] * p
     a = 1
     for _ in range(p - 1):
@@ -221,9 +223,13 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
             expanded.add((tuple(sorted(a * t % p for a in side)),
                           tuple(sorted(b * t_inv % p for b in B))))
     violations = sorted(expanded)
-    for A, B in violations:
-        logger.error("size inequality failed at p=%d k=%d lam=%d A=%s B=%s",
-                     p, k, lam, A, B)
+    if violations:
+        import logging
+        logger = logging.getLogger(__name__)
+        for A, B in violations:
+            logger.error(
+                "size inequality failed at p=%d k=%d lam=%d A=%s B=%s",
+                p, k, lam, A, B)
 
     return FieldScanResult(p, k, lam, class_size, scanned, max_product,
                            extremal, min_slack, tuple(violations))
@@ -329,8 +335,17 @@ def _clique_number(adj: list[int], p: int) -> int:
     recolored, with fewer classes, when the record rises.  At the root a
     branch on v also drops p - v: a -> -a is an automorphism of the field
     graphs, so every clique through -v mirrors one through v.
+
+    Any greedy coloring bounds the clique soundly.  This one takes each
+    class's vertices highest first, so every mask stays non-negative:
+    nadj[v] is the complement of v and its neighbors within the p bits,
+    and single bits come from a table.  CPython builds a two's-complement
+    temporary for each & with a negative int (avail & -avail, ~row), and
+    the coloring steps are most of the work here.
     """
-    nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    full = (1 << p) - 1
+    bit = [1 << v for v in range(p)]
+    nadj = [full ^ (row | b) for row, b in zip(adj, bit)]
     best = 0
 
     def expand(depth: int, cands: int):
@@ -340,16 +355,16 @@ def _clique_number(adj: list[int], p: int) -> int:
             for _ in range(best - depth):
                 avail = rest
                 while avail:
-                    low = avail & -avail
-                    rest ^= low
-                    avail &= nadj[low.bit_length() - 1]
+                    v = avail.bit_length() - 1
+                    rest ^= bit[v]
+                    avail &= nadj[v]
                 if not rest:
                     return
             record = best
             while rest:
                 v = rest.bit_length() - 1
-                rest ^= 1 << v
-                if not cands >> v & 1:
+                rest ^= bit[v]
+                if not cands & bit[v]:
                     continue  # the mirror of a root vertex already branched on
                 child = cands & adj[v]
                 if depth + 1 + child.bit_count() > best:
@@ -357,15 +372,15 @@ def _clique_number(adj: list[int], p: int) -> int:
                         expand(depth + 1, child)
                     else:
                         best = depth + 1
-                cands ^= 1 << v
+                cands ^= bit[v]
                 if not depth:
-                    cands &= ~(1 << (p - v))
+                    cands &= full ^ bit[p - v]
                 if best > record:
                     break  # recolor for the new record
             else:
                 return
 
-    expand(0, (1 << p) - 2)
+    expand(0, full ^ 1)
     return best
 
 
@@ -413,8 +428,10 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
     # exact form of max_size > sqrt(2(p-1)/k) + 4
     violation = best > 4 and (best - 4) ** 2 * k > 2 * (p - 1)
     if violation:
-        logger.error("pairwise bound failed at p=%d k=%d lam=%d: size %d",
-                     p, k, lam, best)
+        import logging
+        logging.getLogger(__name__).error(
+            "pairwise bound failed at p=%d k=%d lam=%d: size %d",
+            p, k, lam, best)
     return CliqueScanResult(p, k, lam, best, witness,
                             math.sqrt(2 * (p - 1) / k) + 4, violation)
 

@@ -1,5 +1,6 @@
 """Closed-form size bounds, tabulated constants, Thue-box scans."""
 
+import logging
 import math
 import random
 from fractions import Fraction
@@ -333,6 +334,24 @@ def test_thue_scan_large_classification():
         big = max(3 * x**3, 2 * y**3)
         assert ((x, y) in rep.large) == (big > thresh)
     assert rep.lemma_violation == (len(rep.large) >= 2)
+
+
+def test_thue_scan_violation_is_logged(monkeypatch, caplog):
+    # a zero threshold makes all four solutions large, which forces the
+    # failure branch; it imports logging itself and reports to the layer's
+    # logger
+    import diotuple.bounds as bounds_mod
+    monkeypatch.setattr(bounds_mod, "evertse_constants",
+                        lambda k: (Fraction(1), Fraction(0)))
+    with caplog.at_level(logging.ERROR, logger="diotuple.bounds"):
+        rep = thue_scan(3, 2, 3, 25, 400)
+    assert rep.lemma_violation
+    assert rep.large == ((1, 1), (1, 2), (2, 1), (7, 8))
+    assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [(
+        "diotuple.bounds",
+        "two primitive solutions above the Thue threshold for "
+        "(a,b,k,c)=(3,2,3,25): ((1, 1), (1, 2), (2, 1), (7, 8)) -- this is "
+        "a bug")]
 
 
 def test_thue_scan_errors():

@@ -1,9 +1,11 @@
 """Tuple/pair domain objects, gap principle, growth exponents."""
 
+import logging
 from fractions import Fraction
 
 import pytest
 
+import diotuple.core as core_mod
 from diotuple.core import (
     BipartitePair,
     DiophantineTuple,
@@ -131,6 +133,20 @@ def test_check_gap_quadruple_holds():
     assert cert.holds
     assert cert.bound == Fraction(27, 4)
     assert 14 * 9 >= cert.bound
+
+
+def test_check_gap_quadruple_failure_is_logged(monkeypatch, caplog):
+    # an overstated bound forces the failure branch, which imports logging
+    # itself and reports to the layer's logger
+    monkeypatch.setattr(core_mod, "gap_lower_bound",
+                        lambda a, c, config: Fraction(127))
+    with caplog.at_level(logging.ERROR, logger="diotuple.core"):
+        cert = check_gap_quadruple(1, 14, 2, 9, TupleConfig(k=3, n=-1))
+    assert not cert.holds
+    assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [(
+        "diotuple.core",
+        "gap principle violated: b*d = 126 < 127 for (a,b,c,d)=(1,14,2,9), "
+        "k=3, n=-1 -- this is a bug")]
 
 
 def test_check_gap_quadruple_input_errors():

@@ -87,6 +87,27 @@ def test_integer_kth_root_large_degrees_and_grid():
                 assert integer_kth_root(x ** k + d, k) == x - (d < 0), (x, k, d)
 
 
+def test_integer_kth_root_split_seed_matches_sympy():
+    # roots on both sides of the 1024 bits above which the seed is the
+    # root of the radicand's top bits, up to three levels down, and powers
+    # next to such roots, on radicands of up to 2^18 bits
+    rng = random.Random(20261020)
+    cases = [(root_bits, k)
+             for root_bits in (1023, 1024, 1025, 1026, 2049, 2050, 4100, 8300)
+             for k in (2, 3, 7, 31, 250) if root_bits * k <= 1 << 18]
+    for root_bits, k in cases:
+        bits = root_bits * k
+        for m in (1 << bits - 1, (1 << bits + k - 1) - 1,
+                  rng.getrandbits(bits) | 1 << bits + rng.randrange(k - 1)):
+            assert m.bit_length() // k == root_bits
+            assert integer_kth_root(m, k) == integer_nthroot(m, k)[0], (
+                root_bits, k)
+        x = rng.getrandbits(root_bits) | 1 << root_bits - 1
+        for d in (-1, 0, 1):
+            assert integer_kth_root(x ** k + d, k) == x - (d < 0), (
+                root_bits, k, d)
+
+
 def test_integer_kth_root_exact_powers():
     rng = random.Random(77)
     for _ in range(200):

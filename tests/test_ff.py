@@ -4,6 +4,7 @@ cliques, character sums."""
 import itertools
 import logging
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -457,6 +458,33 @@ def test_clique_number_matches_single_pass_search_on_criterion_7():
         cfg = FieldConfig(p, k, lam)
         assert ff._clique_number(_clique_graph(cfg), p) == \
             reference_scan_clique(cfg).max_size, (p, k, lam)
+
+
+def test_clique_number_matches_single_pass_search_beyond_criterion_7():
+    # pass 1 alone on a seeded quarter of the 862 shift classes with
+    # 200 < p <= 500, k >= 3 and lam in {1, 2}, and on every such class at
+    # k = 2 for p = 211 and 223, where the reference takes about 0.1 s
+    reps = sorted({(p, k, ff._shift_class_rep(p, k, lam))
+                   for p in primes_up_to(500) if p > 200
+                   for k in range(3, p) if (p - 1) % k == 0
+                   for lam in (1, 2)})
+    assert len(reps) == 862
+    sample = random.Random(20261019).sample(reps, 215)
+    sample += sorted({(p, 2, ff._shift_class_rep(p, 2, lam))
+                      for p in (211, 223) for lam in (1, 2)})
+    assert {k for _, k, _ in sample} >= {2, 3, 4, 5, 6}
+    for p, k, lam in sample:
+        cfg = FieldConfig(p, k, lam)
+        assert ff._clique_number(_clique_graph(cfg), p) == \
+            reference_scan_clique(cfg).max_size, (p, k, lam)
+
+
+def test_ff_scan_clique_witness_at_the_cap():
+    # p = 499, k = 2 takes pass 1 about 1.8 s; the witness was recorded
+    # with the lowest-first pass-1 coloring and must not depend on it
+    r = ff_scan_clique(FieldConfig(499, 2, 1))
+    assert (r.max_size, r.witness, r.violation) == (
+        12, (12, 46, 80, 214, 271, 318, 366, 388, 404, 438, 492, 494), False)
 
 
 def test_clique_number_is_shared_by_shift_class():

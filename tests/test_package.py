@@ -6,7 +6,9 @@ import contextlib
 import importlib
 import inspect
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -113,3 +115,27 @@ def test_readme_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(block, {"__name__": "readme_example"})
     assert out.getvalue().splitlines() == expected
+
+
+def test_library_layers_load_logging_only_on_failure():
+    # the layers import logging inside the branches that report a failed
+    # invariant, so a process that never reports one does not load it
+    probe = """
+import sys
+import diotuple.bounds, diotuple.core, diotuple.ff, diotuple.search, diotuple.sieve
+from diotuple import FieldConfig, TupleConfig, check_gap_quadruple
+from diotuple import ff_scan_bipartite, ff_scan_clique, thue_scan
+assert "logging" not in sys.modules
+ff_scan_clique(FieldConfig(13, 3, 1))
+ff_scan_bipartite(FieldConfig(13, 3, 1), 3)
+check_gap_quadruple(1, 14, 2, 9, TupleConfig(k=3, n=-1))
+thue_scan(3, 2, 3, 25, 400)
+print("logging" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(diotuple.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
