@@ -120,6 +120,13 @@ def tail_term(k: int, L) -> float:
         return float(value)
 
 
+def _check_bound_domain(n: int, k: int):
+    if n == 0:
+        raise InputError("shift n must be nonzero")
+    if k < 3:
+        raise InputError(f"bound defined for k >= 3, got {k}")
+
+
 def bipartite_side_bound(n: int, k: int) -> Fraction | float:
     """Explicit bound on the smaller side of a two-sided maximal pair.
 
@@ -127,10 +134,7 @@ def bipartite_side_bound(n: int, k: int) -> Fraction | float:
     max{(log log|n| + 3.3)/log(k-1) + 8,
         (max{4n^2, |n|^(2(k+1)/(k-2))} + n)^(1/k) + 20}.
     """
-    if n == 0:
-        raise InputError("shift n must be nonzero")
-    if k < 3:
-        raise InputError(f"bound defined for k >= 3, got {k}")
+    _check_bound_domain(n, k)
     if abs(n) == 1:
         return Fraction(table_constants(k).r + 1)
     from mpmath import mp
@@ -163,10 +167,7 @@ def tuple_size_bound(n: int, k: int, L) -> float:
 
 def tuple_size_bound_closed(n: int, k: int) -> float:
     """Parameter-free tuple-size bound 2^(1/k) |n|^(2/(k-2)) + 16."""
-    if n == 0:
-        raise InputError("shift n must be nonzero")
-    if k < 3:
-        raise InputError(f"bound defined for k >= 3, got {k}")
+    _check_bound_domain(n, k)
     from mpmath import mp
     with mp.workprec(120):
         value = mp.power(2, mp.mpf(1) / k) * mp.power(abs(n), mp.mpf(2) / (k - 2)) + 16
@@ -181,10 +182,7 @@ def tuple_size_small_regime(n: int, k: int) -> bool:
     between partial sums of sum 1/i! and their tail bound, doubling the
     terms until n^2 falls outside the bracket raised to k - 2.
     """
-    if n == 0:
-        raise InputError("shift n must be nonzero")
-    if k < 3:
-        raise InputError(f"bound defined for k >= 3, got {k}")
+    _check_bound_domain(n, k)
     if abs(n) < 2:
         return False
     m, j = n * n, k - 2

@@ -250,7 +250,7 @@ def _sieve_audit(args) -> int:
     pool = sieve.primes_up_to(1000)
     usable = violations = 0
     for trial in range(args.audit):
-        size = rng.randint(1, 60)
+        size = min(rng.randint(1, 60), N)
         A = rng.sample(range(1, N + 1), size)
         P = rng.sample(pool, rng.randint(1, 25))
         ev = sieve.gallagher_bound(A, N, P)
@@ -354,21 +354,16 @@ def _bound_flags(sp):
     sp.add_argument("--format", choices=["jsonl", "csv", "table"], default="jsonl")
 
 
-def _search_tuples_flags(sp):
-    sp.add_argument("--k", type=_POSITIVE, required=True)
-    sp.add_argument("--n", type=_SIGNED, required=True)
-    sp.add_argument("--N", type=_POSITIVE, required=True)
-    sp.add_argument("--min-size", type=_POSITIVE, default=2)
-    sp.add_argument("--max-results", type=_POSITIVE, default=10 ** 5)
-
-
-def _search_bipartite_flags(sp):
-    sp.add_argument("--k", type=_POSITIVE, required=True)
-    sp.add_argument("--n", type=_SIGNED, required=True)
-    sp.add_argument("--N", type=_POSITIVE, required=True)
-    sp.add_argument("--minA", type=_POSITIVE, default=2)
-    sp.add_argument("--minB", type=_POSITIVE, default=2)
-    sp.add_argument("--max-results", type=_POSITIVE, default=10 ** 5)
+def _search_flags(*size_floors: str):
+    """The flags of a search subcommand, with these size floors (default 2)."""
+    def declare(sp):
+        sp.add_argument("--k", type=_POSITIVE, required=True)
+        sp.add_argument("--n", type=_SIGNED, required=True)
+        sp.add_argument("--N", type=_POSITIVE, required=True)
+        for flag in size_floors:
+            sp.add_argument(flag, type=_POSITIVE, default=2)
+        sp.add_argument("--max-results", type=_POSITIVE, default=10 ** 5)
+    return declare
 
 
 def _verify_flags(sp):
@@ -433,10 +428,10 @@ _SUBCOMMANDS = {
                   _constants_flags),
     "bound": (_cmd_bound, "evaluate every applicable size bound", _bound_flags),
     "search-tuples": (_cmd_search_tuples, "maximal tuples up to a height",
-                      _search_tuples_flags),
+                      _search_flags("--min-size")),
     "search-bipartite": (_cmd_search_bipartite,
                          "maximal two-sided pairs up to a height",
-                         _search_bipartite_flags),
+                         _search_flags("--minA", "--minB")),
     "verify": (_cmd_verify, "check a tuple or pair definitionally",
                _verify_flags),
     "sieve": (_cmd_sieve, "larger-sieve size estimate for a set", _sieve_flags),
@@ -516,7 +511,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file unread or undecoded
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

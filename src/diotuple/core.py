@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations, product
+from typing import Iterable, Sequence
 
 from .errors import HypothesisError, InputError
 from .exact import compare_value_to_power, is_perfect_kth_power
@@ -58,15 +59,28 @@ def _config_notes(config: TupleConfig) -> list[str]:
     return []
 
 
+def _failing_products(pairs: Iterable[tuple[int, int]],
+                      config: TupleConfig) -> list[tuple[int, int, int]]:
+    """The (x, y, x*y + n) whose value is not a k-th power, in pair order."""
+    n, k = config.n, config.k
+    return [(x, y, v) for x, y in pairs
+            if is_perfect_kth_power(v := x * y + n, k) is None]
+
+
+def _require_powers(pairs: Iterable[tuple[int, int]], config: TupleConfig):
+    """Raise HypothesisError at the first pair whose shifted product is not
+    a k-th power."""
+    failures = _failing_products(pairs, config)
+    if failures:
+        x, y, v = failures[0]
+        raise HypothesisError(
+            f"{x}*{y}+{config.n} = {v} is not a positive {config.k}-th power")
+
+
 def verify_tuple(elements: Sequence[int], config: TupleConfig) -> VerifyReport:
     """Check every pairwise product: c_i*c_j + n must be a k-th power."""
     elems = _check_elements(elements, "tuple")
-    failures = []
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            v = elems[i] * elems[j] + config.n
-            if is_perfect_kth_power(v, config.k) is None:
-                failures.append((elems[i], elems[j], v))
+    failures = _failing_products(combinations(elems, 2), config)
     return VerifyReport(not failures, tuple(failures), tuple(_config_notes(config)))
 
 
@@ -79,12 +93,7 @@ def verify_bipartite(A: Sequence[int], B: Sequence[int],
     """
     ea = _check_elements(A, "A")
     eb = _check_elements(B, "B")
-    failures = []
-    for a in ea:
-        for b in eb:
-            v = a * b + config.n
-            if is_perfect_kth_power(v, config.k) is None:
-                failures.append((a, b, v))
+    failures = _failing_products(product(ea, eb), config)
     notes = _config_notes(config)
     shared = sorted(set(ea) & set(eb))
     if shared:
@@ -188,15 +197,8 @@ def check_gap_quadruple(a: int, b: int, c: int, d: int,
     if not (0 < c < d):
         raise InputError(f"need 0 < c < d, got c={c}, d={d}")
     n, k = config.n, config.k
-    if a * c < 2 * abs(n):
-        raise InputError(
-            f"gap principle requires a*c >= 2|n|: {a}*{c} < {2 * abs(n)}")
-    for x, y in ((a, c), (b, c), (a, d), (b, d)):
-        v = x * y + n
-        if is_perfect_kth_power(v, k) is None:
-            raise HypothesisError(
-                f"{x}*{y}+{n} = {v} is not a positive {k}-th power")
     bound = gap_lower_bound(a, c, config)
+    _require_powers(((a, c), (b, c), (a, d), (b, d)), config)
     holds = Fraction(b * d) >= bound
     if not holds:
         import logging
@@ -268,12 +270,7 @@ def check_superexponential_growth(a1: int, a2: int, B: Sequence[int],
         raise HypothesisError(f"b_1 = {b1} < 2|n| = {2 * abs(n)}")
     if compare_value_to_power(b1, abs(n), Lf) < 0:
         raise HypothesisError(f"b_1 = {b1} < |n|^L")
-    for a in (a1, a2):
-        for b in elems:
-            v = a * b + n
-            if is_perfect_kth_power(v, k) is None:
-                raise HypothesisError(
-                    f"{a}*{b}+{n} = {v} is not a positive {k}-th power")
+    _require_powers(product((a1, a2), elems), config)
     failures = []
     for i in range(len(elems) - 1):
         if compare_value_to_power(elems[i + 1], elems[i], theta) < 0:

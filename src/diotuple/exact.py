@@ -145,7 +145,7 @@ def is_prime(n: int) -> bool:
         raise InputError("primality test is deterministic only below 2**64")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
@@ -222,6 +222,11 @@ def factor(m: int) -> list[tuple[int, int]]:
     return sorted((q, primes.count(q)) for q in set(primes))
 
 
+def _cross_powering_fits(base: int, p: int, q: int) -> bool:
+    # the cheap exact path: a small denominator and base**p within 2^22 bits
+    return q <= 64 and p * base.bit_length() <= 1 << 22
+
+
 def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:
     """sign(value - base**expo) for value >= 1, base >= 1, expo > 0.
 
@@ -241,8 +246,7 @@ def compare_value_to_power(value: int, base: int, expo: Fraction) -> int:
     if base == 1:
         return (value > 1) - (value < 1)
     p, q = expo.numerator, expo.denominator
-    # cheap exact path: small denominator and a result that fits in memory
-    if q <= 64 and p * base.bit_length() <= 1 << 22:
+    if _cross_powering_fits(base, p, q):
         lhs = value ** q
         rhs = base ** p
         return (lhs > rhs) - (lhs < rhs)

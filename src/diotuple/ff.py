@@ -255,27 +255,26 @@ def _clique_graph(config: FieldConfig) -> list[int]:
     return adj
 
 
-def _clique_search(adj: list[int], cands: int, best: int,
-                   stop: int) -> tuple[int, tuple[int, ...]]:
-    """Greedy-coloring branch and bound (Tomita & Kameda's MCQ) over cands.
+def _clique_search(adj: list[int], p: int, size: int) -> tuple[int, ...]:
+    """Greedy-coloring branch and bound (Tomita & Kameda's MCQ) over
+    1..p-1 from the record best = size - 1.
 
-    Returns the largest clique size above best and the first clique found at
-    that size, or (best, ()) when nothing beats best.  Vertices are colored
-    greedily in increasing order, one bitmask per color class, and branched
-    on from the highest color down, highest vertex first within a class;
-    classes that cannot lift a clique above best are never listed.  The
-    search unwinds as soon as best reaches stop.
+    Returns the first clique above best that it reaches, or () when there
+    is none.  Vertices are colored greedily in increasing order, one bitmask
+    per color class, and branched on from the highest color down, highest
+    vertex first within a class; classes that cannot lift a clique above
+    best are never listed.  The search unwinds at the first clique found.
     """
     # nadj[v] clears v and its neighbors from a mask
     nadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    best = size - 1
     witness: tuple[int, ...] = ()
 
     def expand(clique: list[int], cands: int):
-        nonlocal best, witness
+        nonlocal witness
         depth = len(clique)
         if not cands:
             if depth > best:
-                best = depth
                 witness = tuple(sorted(clique))
             return
         classes = []
@@ -303,12 +302,12 @@ def _clique_search(adj: list[int], cands: int, best: int,
                     clique.append(v)
                     expand(clique, child)
                     clique.pop()
-                    if best >= stop:
+                    if witness:
                         return
                 cands ^= 1 << v
 
-    expand([], cands)
-    return best, witness
+    expand([], (1 << p) - 2)
+    return witness
 
 
 def _shift_class_rep(p: int, k: int, lam: int) -> int:
@@ -419,20 +418,21 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
         if len(_class_omega) >= CLASS_OMEGA_CAP:
             del _class_omega[next(iter(_class_omega))]
         _class_omega[key] = omega
-    best, witness = _clique_search(adj, (1 << p) - 2, omega - 1, omega)
-    if best != omega:
+    witness = _clique_search(adj, p, omega)
+    if len(witness) != omega:
+        # without a witness the replay's record stayed at omega - 1
         raise InvariantViolation(
-            f"clique replay found size {best}, not {omega}, at p={p} k={k} "
-            f"lam={lam}")
+            f"clique replay found size {len(witness) or omega - 1}, not "
+            f"{omega}, at p={p} k={k} lam={lam}")
 
     # exact form of max_size > sqrt(2(p-1)/k) + 4
-    violation = best > 4 and (best - 4) ** 2 * k > 2 * (p - 1)
+    violation = omega > 4 and (omega - 4) ** 2 * k > 2 * (p - 1)
     if violation:
         import logging
         logging.getLogger(__name__).error(
             "pairwise bound failed at p=%d k=%d lam=%d: size %d",
-            p, k, lam, best)
-    return CliqueScanResult(p, k, lam, best, witness,
+            p, k, lam, omega)
+    return CliqueScanResult(p, k, lam, omega, witness,
                             math.sqrt(2 * (p - 1) / k) + 4, violation)
 
 

@@ -227,8 +227,6 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     if limit < 1:
         return ()
     xmax = integer_kth_root(limit, k)
-    if xmax < 1:
-        return ()
     out = []
     if a > xmax:
         # fewer powers than residue classes

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .exact import (compare_value_to_power, factor, integer_kth_root,
-                    is_prime, trial_factor)
+from .exact import (_cross_powering_fits, compare_value_to_power, factor,
+                    integer_kth_root, is_prime, trial_factor)
 
 # sieve_pipeline refuses a prime window Q above this (about 1.6 s and 72 MB
 # of sieving at Q near 10^7)
@@ -79,7 +79,7 @@ def gallagher_bound(A: Iterable[int], N: int, P: Iterable[int]) -> SieveEvaluati
     if not primes:
         raise InputError("need at least one sieving prime")
     for p in primes:
-        if p < 2 or not is_prime(p):
+        if not is_prime(p):
             raise InputError(f"{p} is not prime")
     return _gallagher(elems, N, primes)
 
@@ -111,15 +111,15 @@ def _ceil_power(base: int, expo: Fraction) -> int:
     """ceil(base^expo) exactly, for base >= 1 and rational expo > 0.
 
     With expo = p/q, the answer is the integer q-th root r of base^p, or
-    r + 1 when r^q < base^p.  That is computed outright while base^p is
-    small by compare_value_to_power's rule (q <= 64, p * bits <= 2^22).
-    Above it, mpmath seeds c at the result's bit size; compare_value_to_power
+    r + 1 when r^q < base^p.  That is computed outright where
+    exact._cross_powering_fits holds, as compare_value_to_power does.
+    Elsewhere, mpmath seeds c at the result's bit size; compare_value_to_power
     then settles it to the least c with c >= base^expo.  The seed is off by
     about bits * 2^-guard, so guard bits beyond log2(bits) keep it a step or
     two from the answer.
     """
     p, q = expo.numerator, expo.denominator
-    if q <= 64 and p * base.bit_length() <= 1 << 22:
+    if _cross_powering_fits(base, p, q):
         power = base ** p
         if q == 1:
             return power

@@ -188,6 +188,20 @@ def test_tuple_size_small_regime():
         tuple_size_small_regime(0, 4)
 
 
+@pytest.mark.parametrize("bound", [bipartite_side_bound, tuple_size_bound_closed,
+                                   tuple_size_small_regime])
+def test_bound_domain_messages(bound):
+    # the shift is checked before the degree, and each message is exact
+    for n, k, message in ((0, 3, "shift n must be nonzero"),
+                          (0, 2, "shift n must be nonzero"),
+                          (5, 2, "bound defined for k >= 3, got 2"),
+                          (-1, 1, "bound defined for k >= 3, got 1")):
+        with pytest.raises(InputError) as err:
+            bound(n, k)
+        assert type(err.value) is InputError
+        assert str(err.value) == message
+
+
 def test_tuple_size_small_regime_boundary_against_sympy():
     # |n| = floor(e^((k-2)/2)) is the largest shift in the small regime and
     # the next one is outside it, e.g. 54 and 55 at k = 10; from k = 55 on,

@@ -1,5 +1,6 @@
 """Command-line surface: wire formats, exit codes, determinism, config files."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -269,6 +270,9 @@ def test_sieve_audit_deterministic():
     c = run_cli("sieve", "--audit", "25", "--seed", "8")
     assert a[0] == 0
     assert a[1] == b[1]
+    # the bytes are pinned: at N >= 60 a trial's set size is never clipped
+    assert hashlib.sha256(a[1].encode()).hexdigest() == \
+        "81670e06bd852b6a545372a79b1bcce58f0f13e9f0bf94613eb0c82f78da7b8e"
     assert a[1] != c[1]
     summary = records(a[1])[-1]
     assert summary["type"] == "audit-summary"
@@ -711,6 +715,13 @@ _HUGE_BASES = (
 )
 # sieve_pipeline trial-divides |n| for its shift_prime_drag diagnostic
 _HUGE_HANGS = {("sieve", "--n")}
+# inputs that once ended in a traceback: an audit universe smaller than a
+# trial's set, and files that are not UTF-8 (NOT_UTF8 names one)
+_TRACEBACKS = (
+    ["sieve", "--audit", "25", "--seed", "7", "--N", "5"],
+    ["search-tuples", "--config", "NOT_UTF8", "--N", "100"],
+    ["sieve", "--set-file", "NOT_UTF8", "--n", "100", "--k", "3", "--L", "1"],
+)
 
 
 def _huge_inputs():
@@ -723,6 +734,8 @@ def _huge_inputs():
                 if (base[0], flag) in _HUGE_HANGS else []
             yield pytest.param(argv, marks=marks,
                                id=" ".join(argv).replace(_BIG, "BIG"))
+    for argv in _TRACEBACKS:
+        yield pytest.param(argv, id=" ".join(argv))
 
 
 def _limit_address_space():
@@ -730,9 +743,12 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("argv", _huge_inputs())
-def test_huge_parameter_is_answered_or_refused(argv):
+def test_huge_parameter_is_answered_or_refused(argv, tmp_path):
     # within 5 s and 1 GiB of address space: an answer or exit 1, never a
     # hang, a MemoryError or another traceback
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes("k = 3\nn = \u00b11\n".encode("latin-1"))
+    argv = [str(not_utf8) if arg == "NOT_UTF8" else arg for arg in argv]
     proc = subprocess.run([sys.executable, "-m", "diotuple", *argv],
                           capture_output=True, text=True, timeout=5,
                           env=_CHILD_ENV, preexec_fn=_limit_address_space)

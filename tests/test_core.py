@@ -155,8 +155,12 @@ def test_check_gap_quadruple_input_errors():
         check_gap_quadruple(14, 1, 2, 9, cfg)  # a >= b
     with pytest.raises(InputError):
         check_gap_quadruple(1, 14, 9, 2, cfg)  # c >= d
-    with pytest.raises(InputError):
-        check_gap_quadruple(1, 2, 1, 14, TupleConfig(k=3, n=-5))  # ac < 2|n|
+    # a*c < 2|n| is refused as bad input before any product is tested, even
+    # where a product also fails: 1*1 - 5 is not a cube
+    with pytest.raises(InputError) as err:
+        check_gap_quadruple(1, 2, 1, 14, TupleConfig(k=3, n=-5))
+    assert type(err.value) is InputError
+    assert str(err.value) == "gap principle requires a*c >= 2|n|: 1*1 < 10"
 
 
 def test_check_gap_quadruple_hypothesis_error():
@@ -244,6 +248,18 @@ def test_growth_chain_hypothesis_errors():
             100, 101, [250], TupleConfig(k=3, n=100), 4)
     with pytest.raises(HypothesisError):
         check_superexponential_growth(5, 13, [820], cfg, 4)  # not a cube
+
+
+def test_growth_chain_names_the_first_failing_pair():
+    # a1*b pairs come before a2*b pairs, each in the order of B: 5*819 + 1
+    # is 16^3, then 5*900 + 1 fails before 14*819 + 1 and 14*900 + 1 do
+    cfg = TupleConfig(k=3, n=1)
+    with pytest.raises(HypothesisError) as err:
+        check_superexponential_growth(5, 14, [819, 900], cfg, 4)
+    assert str(err.value) == "5*900+1 = 4501 is not a positive 3-th power"
+    with pytest.raises(HypothesisError) as err:
+        check_superexponential_growth(5, 14, [819], cfg, 4)
+    assert str(err.value) == "14*819+1 = 11467 is not a positive 3-th power"
 
 
 def test_growth_chain_b1_power_boundary():

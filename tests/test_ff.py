@@ -515,8 +515,9 @@ def test_ff_scan_clique_replay_must_reach_the_proved_size(monkeypatch):
 
     monkeypatch.setattr(ff, "_class_omega", {})
     monkeypatch.setattr(ff, "_clique_number", overstated)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as err:
         ff_scan_clique(FieldConfig(13, 3, 1))
+    assert str(err.value) == "clique replay found size 3, not 4, at p=13 k=3 lam=1"
 
 
 def test_clique_number_cache_is_bounded(monkeypatch):

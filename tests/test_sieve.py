@@ -123,6 +123,9 @@ def test_gallagher_errors():
         gallagher_bound([5], 10, [])
     with pytest.raises(InputError):
         gallagher_bound([5], 10, [4])
+    for p in (1, 0, -3):  # below 2: is_prime refuses them too
+        with pytest.raises(InputError, match=f"^{p} is not prime$"):
+            gallagher_bound([5], 10, [p])
     # a strong pseudoprime to bases 2, 3, 5 and 7 is still refused
     with pytest.raises(InputError):
         gallagher_bound([5], 10, [3, 3215031751])
@@ -228,6 +231,37 @@ def test_ceil_power_settles_small_powers_by_integer_roots(monkeypatch):
         assert sieve._ceil_power(base, expo) == want
         assert bool(calls) == compared, expo
         calls.clear()
+
+
+def test_ceil_power_routes_agree_across_the_cross_powering_budget(monkeypatch):
+    # each pair straddles one edge of exact._cross_powering_fits: q = 64 / 65,
+    # then p * bits = 2^22 / 2^22 + 64; (2^63)^(p/63) is 2^p exactly
+    edges = [(10 ** 6 + 3, Fraction(129, 64)), (10 ** 6 + 3, Fraction(131, 65)),
+             (2 ** 63, Fraction(2 ** 16, 63)), (2 ** 63, Fraction(2 ** 16 + 1, 63))]
+    assert [exact._cross_powering_fits(b, e.numerator, e.denominator)
+            for b, e in edges] == [True, False, True, False]
+    want = [_least_power_at_least(10 ** 6 + 3, 129, 64),
+            _least_power_at_least(10 ** 6 + 3, 131, 65), 2 ** 2 ** 16,
+            2 ** (2 ** 16 + 1)]
+
+    def answers(cases):
+        # the ceiling c, then c and c - 1 compared with base^expo; c - 1
+        # only at the small bases, since next to 2^p it needs 2^17-bit logs
+        return [(c := sieve._ceil_power(base, expo),
+                 exact.compare_value_to_power(c, base, expo),
+                 exact.compare_value_to_power(c - 1, base, expo)
+                 if base < 2 ** 63 else None)
+                for base, expo in cases]
+
+    fits = answers(edges)
+    assert [c for c, _, _ in fits] == want
+    assert [(above, below) for _, above, below in fits] == [
+        (1, -1), (1, -1), (0, None), (0, None)]
+    # past the budget both already take the mpmath route; forced off, the
+    # cases inside it must give the same answers by that route
+    monkeypatch.setattr(exact, "_cross_powering_fits", lambda *a: False)
+    monkeypatch.setattr(sieve, "_cross_powering_fits", lambda *a: False)
+    assert answers(edges[::2]) == fits[::2]
 
 
 def test_pipeline_diagnostics_keys_and_drag():
