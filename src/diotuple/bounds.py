@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, report_failure
 from .exact import integer_kth_root, is_perfect_kth_power
 
 # thue_scan refuses a small-x zone wider than this (about 5 s of scanning)
@@ -370,8 +370,8 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
                   if Fraction(max(a * x ** k, b * y ** k)) ** q > rhs)
     violation = len(large) >= 2
     if violation:
-        import logging
-        logging.getLogger(__name__).error(
+        report_failure(
+            __name__,
             "two primitive solutions above the Thue threshold for "
             "(a,b,k,c)=(%d,%d,%d,%d): %s -- this is a bug", a, b, k, c, large)
     return ThueScanReport(a, b, k, c, X, tuple(sols), large, alpha, beta,

@@ -12,18 +12,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import sys
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, report_failure
 from .exact import format_rational, parse_integer, parse_natural, parse_rational
 
 # Each subcommand imports the layers it runs, so a process pays only for
 # those (ff-scan never loads search, core, bounds or sieve), and only the
 # invoked subcommand declares its flags.
-
-logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +85,27 @@ def _is_fraction(obj) -> bool:
     return fractions is not None and isinstance(obj, fractions.Fraction)
 
 
+def _read_lines(path: str, flag: str) -> list[str]:
+    """The non-blank lines of the file a flag names, stripped.
+
+    A file that does not decode is bad input, and the error names both.
+    """
+    with open(path) as fh:
+        try:
+            return [line for line in map(str.strip, fh) if line]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{flag} {path}: {exc}") from None
+
+
+def _fields(result) -> dict:
+    """A result dataclass's fields by name, in declaration order."""
+    from dataclasses import fields  # loaded with every result class
+    return {f.name: getattr(result, f.name) for f in fields(result)}
+
+
 def _jsonify(obj):
-    """Wire form: ints as decimal strings, rationals as p/q, floats as-is."""
+    """Wire form: ints as decimal strings, rationals as p/q, floats as-is,
+    result dataclasses (nested ones too) as objects of their fields."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, float)):
         return obj
     if isinstance(obj, int):
@@ -101,6 +117,8 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj]
     if _is_fraction(obj):
         return format_rational(obj)
+    if hasattr(obj, "__dataclass_fields__"):
+        return _jsonify(_fields(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -163,6 +181,13 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _search_summary(outcome) -> int:
+    """Close a search's records; exit 2 if max_results cut them short."""
+    _emit({"type": "summary", "count": len(outcome.results),
+           "truncated": outcome.truncated})
+    return 2 if outcome.truncated else 0
+
+
 def _cmd_search_tuples(args) -> int:
     from .core import TupleConfig
     from .search import SearchBudget, search_tuples
@@ -172,9 +197,7 @@ def _cmd_search_tuples(args) -> int:
     outcome = search_tuples(config, budget)
     for t in outcome.results:
         _emit({"type": "tuple", "k": args.k, "n": args.n, "elements": t.elements})
-    _emit({"type": "summary", "count": len(outcome.results),
-           "truncated": outcome.truncated})
-    return 2 if outcome.truncated else 0
+    return _search_summary(outcome)
 
 
 def _cmd_search_bipartite(args) -> int:
@@ -186,9 +209,7 @@ def _cmd_search_bipartite(args) -> int:
     outcome = search_bipartite(config, budget)
     for p in outcome.results:
         _emit({"type": "pair", "k": args.k, "n": args.n, "A": p.A, "B": p.B})
-    _emit({"type": "summary", "count": len(outcome.results),
-           "truncated": outcome.truncated})
-    return 2 if outcome.truncated else 0
+    return _search_summary(outcome)
 
 
 def _cmd_verify(args) -> int:
@@ -207,10 +228,7 @@ def _cmd_verify(args) -> int:
         report = verify_bipartite(A, B, config)
         record = {"type": "verify", "target": "pair", "k": args.k,
                   "n": args.n, "A": A, "B": B}
-    record.update(ok=report.ok,
-                  failures=[list(f) for f in report.failures],
-                  notes=list(report.notes))
-    _emit(record)
+    _emit({**record, **_fields(report)})
     return 0
 
 
@@ -227,15 +245,13 @@ def _cmd_sieve(args) -> int:
     if args.set is not None:
         elems = args.set
     elif args.set_file is not None:
-        with open(args.set_file) as fh:
-            elems = [_natural(line, 1) for line in map(str.strip, fh) if line]
+        elems = [_natural(line, 1)
+                 for line in _read_lines(args.set_file, "--set-file")]
     else:
         raise InputError("sieve needs --set or --set-file")
-    from dataclasses import asdict
-
     from . import sieve
     result = sieve.sieve_pipeline(elems, args.n, args.k, args.L)
-    _emit({"type": "sieve", **asdict(result)})
+    _emit({"type": "sieve", **_fields(result)})
     return 0
 
 
@@ -261,7 +277,8 @@ def _sieve_audit(args) -> int:
             violations += 1
             _emit({"type": "audit-violation", "trial": trial, "size": size,
                    "bound": ev.bound, "primes": sorted(P)})
-            logger.error("sieve bound undercounted on trial %d", trial)
+            report_failure(__name__, "sieve bound undercounted on trial %d",
+                           trial)
     _emit({"type": "audit-summary", "trials": args.audit, "usable": usable,
            "violations": violations, "seed": seed})
     return 3 if violations else 0
@@ -272,20 +289,16 @@ def _cmd_ff_scan(args) -> int:
         _refuse(args, ("--lam",), "with --lam-max")
     if args.mode == "clique":
         _refuse(args, ("--maxA",), "with --mode clique")
-    from dataclasses import asdict
-
     from . import ff
     results = []
     for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam or 1]:
         config = ff.FieldConfig(args.p, args.k, lam)
-        if args.mode == "bipartite":
-            results.append(ff.ff_scan_bipartite(config, args.maxA or 3))
-        else:
-            results.append(ff.ff_scan_clique(config))
+        results.append(ff.ff_scan_bipartite(config, args.maxA or 3)
+                       if args.mode == "bipartite" else ff.ff_scan_clique(config))
 
     bad = 0
     for r in results:
-        record = asdict(r)
+        record = _fields(r)
         if args.mode == "bipartite":
             record["violation_count"] = len(r.violations)
             bad += len(r.violations)
@@ -297,8 +310,6 @@ def _cmd_ff_scan(args) -> int:
 
 
 def _cmd_char_sum(args) -> int:
-    from dataclasses import asdict
-
     from . import ff
     if args.max_p is not None:
         _refuse(args, ("--p", "--A", "--B", "--g"), "with --max-p")
@@ -309,8 +320,7 @@ def _cmd_char_sum(args) -> int:
         for p in sieve.primes_up_to(args.max_p):
             if p < 3 or (p - 1) % args.k != 0:
                 continue
-            m = args.interval or math.isqrt(p)
-            m = max(1, min(m, p - 1))
+            m = max(1, min(args.interval or math.isqrt(p), p - 1))
             config = ff.FieldConfig(p, args.k)
             r = ff.char_sum(range(1, m + 1), range(1, m + 1), config)
             rows.append([p, args.k, m, r.zero_hits, r.magnitude, r.exponent])
@@ -322,16 +332,14 @@ def _cmd_char_sum(args) -> int:
         raise InputError("char-sum needs --p, --A and --B (or --max-p for a sweep)")
     config = ff.FieldConfig(args.p, args.k, g=args.g or 0)
     r = ff.char_sum(args.A, args.B, config)
-    _emit({"type": "char-sum", **asdict(r), "g": config.g})
+    _emit({"type": "char-sum", **_fields(r), "g": config.g})
     return 0
 
 
 def _cmd_thue_scan(args) -> int:
-    from dataclasses import asdict
-
     from . import bounds
     report = bounds.thue_scan(args.a, args.b, args.k, args.c, args.X)
-    _emit({"type": "thue-scan", **asdict(report)})
+    _emit({"type": "thue-scan", **_fields(report)})
     return 3 if report.lemma_violation else 0
 
 
@@ -475,28 +483,23 @@ def _inject_config(argv: list[str], registry: dict) -> list[str]:
     rest = argv[1:idx] + argv[idx + 2:]
     option_map = registry[argv[0]].flag_actions
     extra: list[str] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"config line is not key=value: {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "config":
-                raise InputError("config files cannot nest")
-            action = option_map.get("--" + key)
-            if action is None or action.nargs == 0:
-                raise InputError(
-                    f"unknown config key {key!r} for {argv[0]}")
-            extra.extend(["--" + key, value])
+    for line in _read_lines(path, "--config"):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"config line is not key=value: {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "config":
+            raise InputError("config files cannot nest")
+        action = option_map.get("--" + key)
+        if action is None or action.nargs == 0:
+            raise InputError(f"unknown config key {key!r} for {argv[0]}")
+        extra.extend(["--" + key, value])
     return [argv[0]] + extra + rest
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     raw = list(sys.argv[1:] if argv is None else argv)
     # the top-level parser has no flag that takes a value, so the first
     # argument naming a subcommand is the one argparse runs
@@ -505,15 +508,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_inject_config(raw, registry))
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # bad input, or a file not read
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
         return 3
-    except (OSError, UnicodeDecodeError) as exc:  # a file unread or undecoded
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entry():

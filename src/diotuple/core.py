@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import HypothesisError, InputError
+from .errors import HypothesisError, InputError, report_failure
 from .exact import compare_value_to_power, is_perfect_kth_power
 
 
@@ -38,6 +38,9 @@ class TupleConfig:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Outcome of verify_tuple or verify_bipartite: each product that is
+    not a k-th power once shifted, and notes on the check itself."""
+
     ok: bool
     failures: tuple[tuple[int, int, int], ...]  # (a, b, a*b + n)
     notes: tuple[str, ...] = ()
@@ -201,8 +204,8 @@ def check_gap_quadruple(a: int, b: int, c: int, d: int,
     _require_powers(((a, c), (b, c), (a, d), (b, d)), config)
     holds = Fraction(b * d) >= bound
     if not holds:
-        import logging
-        logging.getLogger(__name__).error(
+        report_failure(
+            __name__,
             "gap principle violated: b*d = %d < %s for (a,b,c,d)=(%d,%d,%d,%d), "
             "k=%d, n=%d -- this is a bug", b * d, bound, a, b, c, d, k, n)
     return GapCertificate(config, a, b, c, d, bound, holds)
@@ -232,6 +235,9 @@ def growth_exponents(k: int, L) -> tuple[float | None, float | None]:
 
 @dataclass(frozen=True)
 class GrowthReport:
+    """Outcome of check_superexponential_growth: the chain exponent theta
+    and each link b_{i+1} < b_i^theta, which must never occur."""
+
     ok: bool
     theta: Fraction
     checked_links: int
@@ -276,8 +282,8 @@ def check_superexponential_growth(a1: int, a2: int, B: Sequence[int],
         if compare_value_to_power(elems[i + 1], elems[i], theta) < 0:
             failures.append((i + 1, elems[i], elems[i + 1]))
     if failures:
-        import logging
-        logging.getLogger(__name__).error(
+        report_failure(
+            __name__,
             "growth chain broke at links %s for a1=%d a2=%d k=%d n=%d -- "
             "this contradicts a theorem and means a bug", failures, a1, a2, k, n)
     return GrowthReport(not failures, theta, len(elems) - 1, tuple(failures),

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one report of a
+failed invariant.
 
 The split matters for the CLI exit codes: bad input is the caller's fault,
 a failed mathematical invariant is ours.
 """
+
+import sys
 
 
 class InputError(ValueError):
@@ -23,3 +26,21 @@ class InvariantViolation(RuntimeError):
     This never indicates bad input; it indicates an implementation bug and
     is surfaced loudly rather than swallowed.
     """
+
+
+def report_failure(name: str, msg: str, *args) -> None:
+    """Report a failed invariant as an ERROR of logger `name`.
+
+    A caller who configured logging gets the record: when `logging` is
+    loaded and the logger has a handler, it is logged as `msg % args` from
+    the reporting function, and a logger disabled for ERROR drops it.  Otherwise the line
+    `ERROR <name>: <message>` goes to the current sys.stderr, without
+    importing `logging`.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logger = logging.getLogger(name)
+        if logger.hasHandlers() or not logger.isEnabledFor(logging.ERROR):
+            logger.error(msg, *args, stacklevel=2)
+            return
+    print(f"ERROR {name}: {msg % args if args else msg}", file=sys.stderr)

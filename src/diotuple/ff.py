@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, report_failure
 from .exact import factor, is_prime
 
 CHAR_SUM_CAP = 10 ** 6
@@ -94,6 +94,9 @@ def ff_verify(A: Iterable[int], B: Iterable[int], config: FieldConfig) -> bool:
 
 @dataclass(frozen=True)
 class FieldScanResult:
+    """Outcome of ff_scan_bipartite: the largest |A||B| over the scanned
+    sides and each pair (A, B) that breaks the size inequality."""
+
     p: int
     k: int
     lam: int
@@ -223,13 +226,10 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
             expanded.add((tuple(sorted(a * t % p for a in side)),
                           tuple(sorted(b * t_inv % p for b in B))))
     violations = sorted(expanded)
-    if violations:
-        import logging
-        logger = logging.getLogger(__name__)
-        for A, B in violations:
-            logger.error(
-                "size inequality failed at p=%d k=%d lam=%d A=%s B=%s",
-                p, k, lam, A, B)
+    for A, B in violations:
+        report_failure(__name__,
+                       "size inequality failed at p=%d k=%d lam=%d A=%s B=%s",
+                       p, k, lam, A, B)
 
     return FieldScanResult(p, k, lam, class_size, scanned, max_product,
                            extremal, min_slack, tuple(violations))
@@ -237,6 +237,9 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
 
 @dataclass(frozen=True)
 class CliqueScanResult:
+    """Outcome of ff_scan_clique: the clique number of the field graph, a
+    witness clique, and whether it exceeds the pairwise bound."""
+
     p: int
     k: int
     lam: int
@@ -428,8 +431,8 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
     # exact form of max_size > sqrt(2(p-1)/k) + 4
     violation = omega > 4 and (omega - 4) ** 2 * k > 2 * (p - 1)
     if violation:
-        import logging
-        logging.getLogger(__name__).error(
+        report_failure(
+            __name__,
             "pairwise bound failed at p=%d k=%d lam=%d: size %d",
             p, k, lam, omega)
     return CliqueScanResult(p, k, lam, omega, witness,
@@ -438,6 +441,9 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
 
 @dataclass(frozen=True)
 class CharacterSumResult:
+    """Outcome of char_sum: how often each power of the root of unity
+    occurs among chi(a + b), and the size of the sum."""
+
     p: int
     k: int
     size_a: int

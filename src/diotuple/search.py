@@ -82,6 +82,9 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """The maximal tuples or pairs a search found, in order, and whether
+    max_results cut the list short."""
+
     results: tuple
     truncated: bool
 

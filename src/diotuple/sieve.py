@@ -55,6 +55,9 @@ def primes_in_class(Q: float, k: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SieveEvaluation:
+    """The larger-sieve estimate for one set: when the denominator is
+    positive, numerator / denominator bounds the set's size."""
+
     size: int
     numerator: float
     denominator: float
@@ -96,6 +99,9 @@ def _gallagher(elems: list[int], N: int, primes: list[int]) -> SieveEvaluation:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Outcome of sieve_pipeline: the sieving primes chosen for (n, k, L),
+    the estimate over them, and the diagnostics of that choice."""
+
     n: int
     k: int
     L: str  # the height exponent, kept in exact form

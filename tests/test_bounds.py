@@ -352,8 +352,8 @@ def test_thue_scan_large_classification():
 
 def test_thue_scan_violation_is_logged(monkeypatch, caplog):
     # a zero threshold makes all four solutions large, which forces the
-    # failure branch; it imports logging itself and reports to the layer's
-    # logger
+    # failure branch; it reports to the layer's logger once logging has a
+    # handler
     import diotuple.bounds as bounds_mod
     monkeypatch.setattr(bounds_mod, "evertse_constants",
                         lambda k: (Fraction(1), Fraction(0)))

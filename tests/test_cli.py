@@ -424,12 +424,60 @@ _PINNED_STDOUT = {
         '{"type": "pair", "k": "3", "n": "1", "A": ["9", "35"], '
         '"B": ["38"]}\n'
         '{"type": "summary", "count": "5", "truncated": false}\n'),
+    # result records: nested evaluation, null evaluation and int diagnostics
+    ("sieve", "--set", "2", "--n", "5", "--k", "3", "--L", "1"): (
+        '{"type": "sieve", "n": "5", "k": "3", "L": "1", '
+        '"Q": 13.814882101227917, "cap": "5", "primes": ["7", "13"], '
+        '"degenerate": false, "evaluation": {"size": "1", '
+        '"numerator": 2.9014215940827492, "denominator": 2.9014215940827492, '
+        '"bound": 1.0, "occupied": {"7": "1", "13": "1"}}, "diagnostics": {'
+        '"sum_log_p": 4.51085950651685, "window_over_phi": 6.907441050613959, '
+        '"sum_log_p_over_sqrt_p": 1.4468738599568431, '
+        '"two_sqrt_window_over_phi": 3.7168376479512686, '
+        '"sum_log_p_over_sqrt_p_per_k": 2.5060590375885488, '
+        '"asymptotic_target": 4.2918344331576, '
+        '"shift_prime_drag": 0.7197625155536004}}\n'),
+    ("sieve", "--set", "1", "--n", "-2", "--k", "3", "--L", "1"): (
+        '{"type": "sieve", "n": "-2", "k": "3", "L": "1", '
+        '"Q": 2.5624160742304074, "cap": "2", "primes": [], '
+        '"degenerate": true, "evaluation": null, "diagnostics": {'
+        '"sum_log_p": "0", "window_over_phi": 1.2812080371152037, '
+        '"sum_log_p_over_sqrt_p": "0", '
+        '"two_sqrt_window_over_phi": 1.6007548451372582, '
+        '"sum_log_p_over_sqrt_p_per_k": "0", '
+        '"asymptotic_target": 1.8483924814931874, '
+        '"shift_prime_drag": 0.49012907173427356}}\n'),
+    ("ff-scan", "--mode", "bipartite", "--p", "13", "--k", "3", "--lam", "1"): (
+        '{"type": "ff-bipartite", "p": "13", "k": "3", "lam": "1", '
+        '"class_size": "4", "scanned": "24", "max_product": "4", '
+        '"extremal": [["1", "3"], ["4", "11"]], "min_slack": "2", '
+        '"violations": [], "violation_count": "0"}\n'
+        '{"type": "summary", "scans": "1", "violations": "0"}\n'),
+    ("ff-scan", "--mode", "clique", "--p", "13", "--k", "3", "--lam-max", "2"): (
+        '{"type": "ff-clique", "p": "13", "k": "3", "lam": "1", '
+        '"max_size": "3", "witness": ["1", "7", "11"], '
+        '"bound": 6.82842712474619, "violation": false}\n'
+        '{"type": "ff-clique", "p": "13", "k": "3", "lam": "2", '
+        '"max_size": "3", "witness": ["5", "10", "11"], '
+        '"bound": 6.82842712474619, "violation": false}\n'
+        '{"type": "summary", "scans": "2", "violations": "0"}\n'),
+    ("char-sum", "--p", "13", "--k", "3", "--A", "1,2,3", "--B", "2,5"): (
+        '{"type": "char-sum", "p": "13", "k": "3", "size_a": "3", '
+        '"size_b": "2", "counts": ["2", "1", "3"], "zero_hits": "0", '
+        '"magnitude": 1.7320508075688767, "exponent": -0.48439682494301717, '
+        '"g": "2"}\n'),
+    ("thue-scan", "--a", "3", "--b", "2", "--k", "3", "--c", "25",
+     "--X", "400"): (
+        '{"type": "thue-scan", "a": "3", "b": "2", "k": "3", "c": "25", '
+        '"X": "400", "solutions": [["1", "1"], ["1", "2"], ["2", "1"], '
+        '["7", "8"]], "large": [], "alpha": "9/1", "beta": "5761/5", '
+        '"lemma_violation": false}\n'),
 }
 
 
 def test_output_bytes_pinned(capsys):
-    # the wire form of the tabular subcommands in every format, and of the
-    # tuple and pair records
+    # the wire form of the tabular subcommands in every format, of the
+    # tuple and pair records, and of each result record
     for argv, text in _PINNED_STDOUT.items():
         assert cli.main(list(argv)) == 0, argv
         assert capsys.readouterr().out == text, argv
@@ -500,6 +548,68 @@ def test_exit_three_on_fabricated_violation(monkeypatch, capsys):
     assert code == 3
     assert json.loads(capsys.readouterr().out.splitlines()[0])[
         "lemma_violation"] is True
+
+
+# a CLI process whose invariant check is forced to fail: the Thue threshold
+# set to zero, or every audit trial's bound set to 1/2
+_FORCED_FAILURES = {
+    "thue": """
+from fractions import Fraction
+from diotuple import bounds
+bounds.evertse_constants = lambda k: (Fraction(1), Fraction(0))
+""",
+    "audit": """
+from diotuple import sieve
+sieve.gallagher_bound = lambda A, N, P: sieve.SieveEvaluation(
+    len(A), 0.0, 1.0, 0.5, {})
+""",
+}
+
+
+def _forced(name: str, body: str) -> str:
+    return _FORCED_FAILURES[name] + "from diotuple import cli\n" + body
+
+
+@pytest.mark.parametrize("name, argv, stderr", [
+    ("thue", ["thue-scan", "--a", "3", "--b", "2", "--k", "3", "--c", "25",
+              "--X", "400"],
+     "ERROR diotuple.bounds: two primitive solutions above the Thue "
+     "threshold for (a,b,k,c)=(3,2,3,25): ((1, 1), (1, 2), (2, 1), (7, 8)) "
+     "-- this is a bug\n"),
+    ("audit", ["sieve", "--audit", "3", "--seed", "4"],
+     "".join(f"ERROR diotuple.cli: sieve bound undercounted on trial {t}\n"
+             for t in range(3))),
+])
+def test_forced_failure_reports_to_stderr(name, argv, stderr):
+    probe = _forced(name, "import sys\nsys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env=_CHILD_ENV)
+    assert (proc.returncode, proc.stderr) == (3, stderr)
+
+
+def test_failure_report_goes_to_the_current_stderr():
+    # two in-process runs under different stderr targets, in a child so
+    # that no log capture takes the records; the CLI configures no logging
+    probe = _forced("audit", """
+import contextlib, io, json, sys
+streams = []
+for trials in ("1", "2"):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["sieve", "--audit", trials])
+    streams.append([code, err.getvalue()])
+print(json.dumps({"streams": streams, "logging": "logging" in sys.modules}))
+""")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=_CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    line = "ERROR diotuple.cli: sieve bound undercounted on trial {}\n"
+    assert json.loads(proc.stdout) == {
+        "streams": [[3, line.format(0)],
+                    [3, line.format(0) + line.format(1)]],
+        "logging": False}
 
 
 def test_main_inprocess_matches_subprocess():
@@ -602,23 +712,25 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = exc.code
 print(json.dumps({"code": code, "modules": sorted(
     m for m in sys.modules
-    if m in ("mpmath", "fractions", "dataclasses") or m.startswith("diotuple."))}))
+    if m in ("mpmath", "fractions", "dataclasses", "logging")
+    or m.startswith("diotuple."))}))
 """
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
-    (["--help"], {"diotuple.cli"}, {"mpmath", "fractions", "dataclasses"}),
+    (["--help"], {"diotuple.cli"},
+     {"mpmath", "fractions", "dataclasses", "logging"}),
     (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3",
       "--maxA", "3"],
      {"diotuple.ff"},
-     {"mpmath", "fractions", "diotuple.search", "diotuple.core",
+     {"mpmath", "fractions", "logging", "diotuple.search", "diotuple.core",
       "diotuple.bounds", "diotuple.sieve"}),
     (["search-tuples", "--k", "3", "--n", "1", "--N", "2000"],
      {"diotuple.search", "diotuple.core"},
-     {"mpmath", "diotuple.ff", "diotuple.bounds"}),
+     {"mpmath", "logging", "diotuple.ff", "diotuple.bounds"}),
     (["sieve", "--set", "2,9", "--n", "100", "--k", "3", "--L", "3/2"],
      {"diotuple.sieve", "fractions"},
-     {"mpmath", "diotuple.search", "diotuple.core", "diotuple.ff",
+     {"mpmath", "logging", "diotuple.search", "diotuple.core", "diotuple.ff",
       "diotuple.bounds"}),
 ], ids=["help", "ff-scan", "search-tuples", "sieve"])
 def test_subcommand_loads_only_its_layers(argv, needed, absent):
@@ -754,3 +866,9 @@ def test_huge_parameter_is_answered_or_refused(argv, tmp_path):
                           env=_CHILD_ENV, preexec_fn=_limit_address_space)
     assert proc.returncode in (0, 1), proc.stderr
     assert "Traceback" not in proc.stderr
+    if str(not_utf8) in argv:
+        # one error line naming the flag and the file
+        flag = argv[argv.index(str(not_utf8)) - 1]
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {flag} {not_utf8}: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr

@@ -136,8 +136,8 @@ def test_check_gap_quadruple_holds():
 
 
 def test_check_gap_quadruple_failure_is_logged(monkeypatch, caplog):
-    # an overstated bound forces the failure branch, which imports logging
-    # itself and reports to the layer's logger
+    # an overstated bound forces the failure branch, which reports to the
+    # layer's logger once logging has a handler
     monkeypatch.setattr(core_mod, "gap_lower_bound",
                         lambda a, c, config: Fraction(127))
     with caplog.at_level(logging.ERROR, logger="diotuple.core"):

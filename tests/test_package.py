@@ -118,8 +118,8 @@ def test_readme_library_example_prints_its_comments():
 
 
 def test_library_layers_load_logging_only_on_failure():
-    # the layers import logging inside the branches that report a failed
-    # invariant, so a process that never reports one does not load it
+    # a failed invariant is reported through errors.report_failure, which
+    # reads logging only if the caller loaded it; the layers never import it
     probe = """
 import sys
 import diotuple.bounds, diotuple.core, diotuple.ff, diotuple.search, diotuple.sieve
@@ -139,3 +139,29 @@ print("logging" in sys.modules)
                           text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def _identifier(node):
+    """The module, attribute or name a node spells, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.ImportFrom):
+        return node.module
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value  # importlib.import_module("logging"), ...
+    return None
+
+
+def test_only_errors_names_logging():
+    # every failed-invariant report goes through errors.report_failure, so
+    # no other module imports, names or looks up logging
+    for path in sorted((ROOT / "src" / "diotuple").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = _identifier(node) or ""
+            assert name.partition(".")[0] != "logging", (path.name, node.lineno)
