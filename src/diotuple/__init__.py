@@ -29,7 +29,7 @@ _EXPORTS = {
     "errors": ("HypothesisError", "InputError", "InvariantViolation"),
     "exact": ("compare_value_to_power", "format_rational", "integer_kth_root",
               "is_perfect_kth_power", "is_prime", "parse_natural",
-              "parse_rational", "trial_factor"),
+              "parse_rational", "primes_up_to", "trial_factor"),
     "ff": ("CharacterSumResult", "CliqueScanResult", "FieldConfig",
            "FieldScanResult", "char_sum", "ff_scan_bipartite", "ff_scan_clique",
            "ff_verify", "power_classes", "primitive_root"),
@@ -37,8 +37,7 @@ _EXPORTS = {
                "candidates_for", "kth_power_residues", "search_bipartite",
                "search_tuples"),
     "sieve": ("PipelineResult", "SieveEvaluation", "euler_phi",
-              "gallagher_bound", "primes_in_class", "primes_up_to",
-              "sieve_pipeline"),
+              "gallagher_bound", "primes_in_class", "sieve_pipeline"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -16,7 +16,8 @@ import math
 import sys
 
 from .errors import InputError, InvariantViolation, report_failure
-from .exact import format_rational, parse_integer, parse_natural, parse_rational
+from .exact import (format_rational, parse_integer, parse_natural,
+                    parse_rational, primes_up_to)
 
 # Each subcommand imports the layers it runs, so a process pays only for
 # those (ff-scan never loads search, core, bounds or sieve), and only the
@@ -260,10 +261,12 @@ def _sieve_audit(args) -> int:
     import random
 
     from . import sieve
+    if args.audit > sieve.AUDIT_TRIALS_CAP:
+        raise InputError(f"--audit capped at {sieve.AUDIT_TRIALS_CAP} trials")
     seed = 0 if args.seed is None else args.seed
     rng = random.Random(seed)
     N = args.N or 10 ** 4
-    pool = sieve.primes_up_to(1000)
+    pool = primes_up_to(1000)
     usable = violations = 0
     for trial in range(args.audit):
         size = min(rng.randint(1, 60), N)
@@ -290,8 +293,14 @@ def _cmd_ff_scan(args) -> int:
     if args.mode == "clique":
         _refuse(args, ("--maxA",), "with --mode clique")
     from . import ff
+    lams = range(1, args.lam_max + 1) if args.lam_max else [args.lam or 1]
+    # a bad p, k or last shift, or a sweep past its cap, is refused before
+    # the first scan
+    ff.FieldConfig(args.p, args.k, lams[-1])
+    if args.mode == "bipartite":
+        ff._refuse_bipartite_work(args.p, args.maxA or 3, len(lams))
     results = []
-    for lam in range(1, args.lam_max + 1) if args.lam_max else [args.lam or 1]:
+    for lam in lams:
         config = ff.FieldConfig(args.p, args.k, lam)
         results.append(ff.ff_scan_bipartite(config, args.maxA or 3)
                        if args.mode == "bipartite" else ff.ff_scan_clique(config))
@@ -315,12 +324,12 @@ def _cmd_char_sum(args) -> int:
         _refuse(args, ("--p", "--A", "--B", "--g"), "with --max-p")
         if args.max_p > ff.CHAR_SUM_CAP:
             raise InputError(f"--max-p capped at {ff.CHAR_SUM_CAP}")
-        from . import sieve
+        sides = [(p, max(1, min(args.interval or math.isqrt(p), p - 1)))
+                 for p in primes_up_to(args.max_p)
+                 if p >= 3 and (p - 1) % args.k == 0]
+        ff._refuse_char_sweep(args.k, [m for _, m in sides])
         rows = []
-        for p in sieve.primes_up_to(args.max_p):
-            if p < 3 or (p - 1) % args.k != 0:
-                continue
-            m = max(1, min(args.interval or math.isqrt(p), p - 1))
+        for p, m in sides:
             config = ff.FieldConfig(p, args.k)
             r = ff.char_sum(range(1, m + 1), range(1, m + 1), config)
             rows.append([p, args.k, m, r.zero_hits, r.magnitude, r.exponent])

@@ -2,9 +2,10 @@
 
 Arbitrary-precision k-th roots, perfect-power tests, strict decimal and
 fraction parsers, the canonical fraction form, trial-division factoring,
-a deterministic primality test and Pollard's rho, with a factorization
-built on them, for word-sized integers.  Floats appear only as Newton seeds
-or behind a guard band; every answer is settled in exact arithmetic.
+the sieve of Eratosthenes, a deterministic primality test and Pollard's
+rho, with a factorization built on them, for word-sized integers.  Floats
+appear only as Newton seeds or behind a guard band; every answer is settled
+in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -137,6 +138,18 @@ def trial_factor(m: int) -> list[tuple[int, int]]:
     if m > 1:
         out.append((m, 1))
     return out
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """Eratosthenes; empty below 2."""
+    if limit < 2:
+        return []
+    mark = bytearray([1]) * (limit + 1)
+    mark[0] = mark[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if mark[p]:
+            mark[p * p::p] = bytearray(len(mark[p * p::p]))
+    return [p for p in range(2, limit + 1) if mark[p]]
 
 
 def is_prime(n: int) -> bool:

@@ -20,12 +20,26 @@ from .errors import InputError, InvariantViolation, report_failure
 from .exact import factor, is_prime
 
 CHAR_SUM_CAP = 10 ** 6
+# a sweep of character sums whose estimated time (see _refuse_char_sweep)
+# passes this is refused before the first sum
+CHAR_SWEEP_SECONDS_CAP = 60
+# What one char_sum over two intervals of m elements costs, in nanoseconds,
+# measured on a 2-core AMD EPYC box under CPython 3.11 at p up to 10^6: a
+# fixed part (the field and its generator), a part per power of the root of
+# unity (k of them), per element (each distinct sum classed by Euler's
+# criterion) and per element squared (the packed pass)
+_CHAR_SUM_NS = (50_000, 1500, 4000, 2)
 CLIQUE_CAP = 500
 CLASS_OMEGA_CAP = 1024  # shift classes whose clique number is kept
 BIPARTITE_SIDE_CAP = 6
-# a bipartite scan walks up to about p^(max_side - 1) sides and holds p^2 / 8
-# bytes of partner rows; at this cap p = 3137 with sides of 3 takes about 4 s
+# a bipartite scan walks up to about p^(max_side - 1) sides and builds p
+# partner rows of p bits, which cost about as much as p^2 / 128 sides: at
+# this cap p = 3137 with sides of 3 takes about 7 s on a 2-core AMD EPYC
+# box, and p = 35677 with sides of 2 about 5 s
 BIPARTITE_WORK_CAP = 10 ** 7
+# a sweep of bipartite scans over shifts is refused above this work in all:
+# eight shifts at p = 3137 with sides of 3, about 55 s
+BIPARTITE_SWEEP_CAP = 8 * 10 ** 7
 
 
 def _generates(g: int, p: int, factors: list[tuple[int, int]]) -> bool:
@@ -147,6 +161,24 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _refuse_bipartite_work(p: int, max_side: int, shifts: int = 1):
+    """Refuse a bipartite scan at p with sides up to max_side, or a sweep
+    of it over this many shifts, whose work passes its cap: p^(max_side - 1)
+    walked sides and p^2 / 128 for the partner rows, per scan."""
+    if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
+        raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
+    work = p ** (max_side - 1) + p * p // 128
+    if work > BIPARTITE_WORK_CAP:
+        raise InputError(
+            f"bipartite scan capped at p^(maxA - 1) + p^2/128 <= "
+            f"{BIPARTITE_WORK_CAP}, got p={p} with sides of {max_side}")
+    if shifts * work > BIPARTITE_SWEEP_CAP:
+        raise InputError(
+            f"a sweep of bipartite scans is capped at {BIPARTITE_SWEEP_CAP} "
+            f"in all, got {shifts} shifts of {work} at p={p} with sides of "
+            f"{max_side}; lower --lam-max")
+
+
 def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
     """Exhaust small sides A, pair each with its maximal partner set B.
 
@@ -166,13 +198,8 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
     sides of the full scan: an orbit with stabilizer H has (p-1)/|H| sides,
     s/|H| of which contain 1.  Violations are expanded over their orbits.
     """
-    if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
-        raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
     p, k, lam = config.p, config.k, config.lam
-    if p ** (max_side - 1) > BIPARTITE_WORK_CAP:
-        raise InputError(
-            f"bipartite scan capped at p^(maxA - 1) <= {BIPARTITE_WORK_CAP}, "
-            f"got p={p} with sides of {max_side}")
+    _refuse_bipartite_work(p, max_side)
     comp = _partner_rows(config)
     negbit = [0] * p  # a -> the bit at -lam / a mod p
     for a in range(1, p):
@@ -296,8 +323,6 @@ def _clique_search(adj: list[int], p: int, size: int) -> tuple[int, ...]:
                 classes.append((color, cls))
         for color, cls in reversed(classes):
             while cls:
-                if depth + color <= best:
-                    return
                 v = cls.bit_length() - 1
                 cls ^= 1 << v
                 child = cands & adj[v]
@@ -486,6 +511,20 @@ def _packed_sums(sa: set[int], sb: set[int]) -> Iterable[tuple[int, int]]:
     if sys.byteorder == "big":
         coef.byteswap()
     return enumerate(coef, lo_l + lo_s)
+
+
+def _refuse_char_sweep(k: int, sides: list[int]):
+    """Refuse a sweep of char_sum at degree k over pairs of intervals of
+    these sizes, before the first sum, when its estimated time
+    (_CHAR_SUM_NS) passes CHAR_SWEEP_SECONDS_CAP."""
+    fixed, per_power, per_element, per_square = _CHAR_SUM_NS
+    ns = sum(fixed + per_power * k + per_element * m + per_square * m * m
+             for m in sides)
+    if ns > CHAR_SWEEP_SECONDS_CAP * 10 ** 9:
+        raise InputError(
+            f"this sweep of {len(sides)} character sums needs about "
+            f"{ns // 10 ** 9} s, above the cap of {CHAR_SWEEP_SECONDS_CAP} s; "
+            f"lower --max-p or --interval")
 
 
 def char_sum(A: Iterable[int], B: Iterable[int],

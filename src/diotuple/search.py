@@ -30,8 +30,7 @@ from itertools import islice
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
                    gap_lower_bound)
 from .errors import InputError, InvariantViolation
-from .exact import factor, integer_kth_root, trial_factor
-from .sieve import primes_up_to
+from .exact import factor, integer_kth_root, primes_up_to
 
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4
@@ -149,7 +148,7 @@ def _prime_roots(k: int, n: int, p: int) -> list[int]:
     if pow(n, (p - 1) // d, p) != 1:
         return []
     roots = [pow(n, pow(k // d, -1, (p - 1) // d), p)]
-    for q, e in trial_factor(d):
+    for q, e in factor(d):
         h = 2  # the least q-th power non-residue
         while pow(h, (p - 1) // q, p) == 1:
             h += 1

@@ -15,11 +15,14 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 from .exact import (_cross_powering_fits, compare_value_to_power, factor,
-                    integer_kth_root, is_prime, trial_factor)
+                    integer_kth_root, is_prime, primes_up_to, trial_factor)
 
 # sieve_pipeline refuses a prime window Q above this (about 1.6 s and 72 MB
 # of sieving at Q near 10^7)
 SIEVE_WINDOW_CAP = 10 ** 7
+# the CLI's randomized audit of gallagher_bound refuses more trials than
+# this, about 55 s at some 80 microseconds a trial on a 2-core AMD EPYC box
+AUDIT_TRIALS_CAP = 7 * 10 ** 5
 
 
 def euler_phi(k: int) -> int:
@@ -31,17 +34,6 @@ def euler_phi(k: int) -> int:
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
-
-def primes_up_to(limit: int) -> list[int]:
-    """Eratosthenes; empty below 2."""
-    if limit < 2:
-        return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if mark[p]:
-            mark[p * p::p] = bytearray(len(mark[p * p::p]))
-    return [p for p in range(2, limit + 1) if mark[p]]
 
 def primes_in_class(Q: float, k: int, n: int) -> list[int]:
     """Primes p <= floor(Q) with p = 1 (mod k) and p not dividing n."""

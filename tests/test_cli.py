@@ -104,16 +104,59 @@ def test_mode_defaults_apply_where_read(capsys):
 
 
 def test_char_sum_sweep_cap_refused_before_sieving(monkeypatch, capsys):
-    from diotuple import sieve
+    from diotuple import exact
 
     def no_sieve(n):
         raise AssertionError("sieved before refusing")
 
-    monkeypatch.setattr(sieve, "primes_up_to", no_sieve)
+    # the sweep runs the sieve of exact, bound in cli at import
+    assert cli.primes_up_to is exact.primes_up_to
+    monkeypatch.setattr(cli, "primes_up_to", no_sieve)
     assert cli.main(["char-sum", "--k", "2", "--max-p", str(10 ** 9)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-p" in captured.err
+
+
+def test_sweeps_past_their_budget_refused_before_any_work(monkeypatch,
+                                                         capsys):
+    # a shift sweep beyond p - 1, and the sweeps whose whole work passes
+    # its budget, exit 1 before the first scan, sum or trial
+    from diotuple import ff, sieve
+
+    def spy(*args):
+        raise AssertionError("worked before refusing")
+
+    for module, name in ((ff, "ff_scan_clique"), (ff, "ff_scan_bipartite"),
+                         (ff, "char_sum"), (sieve, "gallagher_bound")):
+        monkeypatch.setattr(module, name, spy)
+    for argv, refusal in (
+            (["ff-scan", "--mode", "clique", "--p", "499", "--k", "2",
+              "--lam-max", "499"], "shift must be in [1, p-1], got 499"),
+            (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3",
+              "--lam-max", "97"], "shift must be in [1, p-1], got 97"),
+            (["ff-scan", "--mode", "bipartite", "--p", "3137", "--k", "2",
+              "--lam-max", "9"], "sweep of bipartite scans is capped"),
+            (["char-sum", "--k", "2", "--max-p", "400000"],
+             "above the cap of 60 s"),
+            (["char-sum", "--k", "2", "--max-p", "20000", "--interval",
+              "20000"], "above the cap of 60 s"),
+            (["sieve", "--audit", "700001"], "--audit capped at 700000")):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), argv
+        assert refusal in captured.err and captured.err.count("\n") == 1
+
+
+def test_audit_trial_cap_admits_up_to_the_cap(monkeypatch, capsys):
+    from diotuple import sieve
+    monkeypatch.setattr(sieve, "AUDIT_TRIALS_CAP", 5)
+    assert cli.main(["sieve", "--audit", "5"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])[
+        "trials"] == "5"
+    assert cli.main(["sieve", "--audit", "6"]) == 1
+    assert capsys.readouterr().err == "error: --audit capped at 5 trials\n"
 
 
 def test_caps_refused_at_once(monkeypatch, capsys):
@@ -551,7 +594,9 @@ def test_exit_three_on_fabricated_violation(monkeypatch, capsys):
 
 
 # a CLI process whose invariant check is forced to fail: the Thue threshold
-# set to zero, or every audit trial's bound set to 1/2
+# set to zero, every audit trial's bound set to 1/2, partner rows made
+# asymmetric, a clique replay that finds nothing, or a clique number above
+# the pairwise bound
 _FORCED_FAILURES = {
     "thue": """
 from fractions import Fraction
@@ -562,6 +607,24 @@ bounds.evertse_constants = lambda k: (Fraction(1), Fraction(0))
 from diotuple import sieve
 sieve.gallagher_bound = lambda A, N, P: sieve.SieveEvaluation(
     len(A), 0.0, 1.0, 0.5, {})
+""",
+    "orbits": """
+from diotuple import ff
+rows = ff._partner_rows
+def asymmetric(config):
+    out = rows(config)
+    out[1] ^= 1 << 2  # 2 leaves the partners of 1; 1 stays a partner of 2
+    return out
+ff._partner_rows = asymmetric
+""",
+    "replay": """
+from diotuple import ff
+ff._clique_search = lambda adj, p, size: ()
+""",
+    "pairwise": """
+from diotuple import ff
+ff._clique_number = lambda adj, p: 9
+ff._clique_search = lambda adj, p, size: tuple(range(1, size + 1))
 """,
 }
 
@@ -579,6 +642,14 @@ def _forced(name: str, body: str) -> str:
     ("audit", ["sieve", "--audit", "3", "--seed", "4"],
      "".join(f"ERROR diotuple.cli: sieve bound undercounted on trial {t}\n"
              for t in range(3))),
+    ("orbits", ["ff-scan", "--mode", "bipartite", "--p", "11", "--k", "2"],
+     "INVARIANT VIOLATION: 2 walked sides of size 3 do not fill whole "
+     "scaling orbits at p=11 k=2 lam=1\n"),
+    ("replay", ["ff-scan", "--mode", "clique", "--p", "13", "--k", "3"],
+     "INVARIANT VIOLATION: clique replay found size 2, not 3, at p=13 k=3 "
+     "lam=1\n"),
+    ("pairwise", ["ff-scan", "--mode", "clique", "--p", "13", "--k", "3"],
+     "ERROR diotuple.ff: pairwise bound failed at p=13 k=3 lam=1: size 9\n"),
 ])
 def test_forced_failure_reports_to_stderr(name, argv, stderr):
     probe = _forced(name, "import sys\nsys.exit(cli.main(sys.argv[1:]))\n")
@@ -727,12 +798,22 @@ print(json.dumps({"code": code, "modules": sorted(
       "diotuple.bounds", "diotuple.sieve"}),
     (["search-tuples", "--k", "3", "--n", "1", "--N", "2000"],
      {"diotuple.search", "diotuple.core"},
-     {"mpmath", "logging", "diotuple.ff", "diotuple.bounds"}),
+     {"mpmath", "logging", "diotuple.ff", "diotuple.bounds",
+      "diotuple.sieve"}),
+    (["search-bipartite", "--k", "2", "--n", "-1", "--N", "300"],
+     {"diotuple.search", "diotuple.core"},
+     {"mpmath", "logging", "diotuple.ff", "diotuple.bounds",
+      "diotuple.sieve"}),
+    (["char-sum", "--k", "2", "--max-p", "40"],
+     {"diotuple.ff"},
+     {"mpmath", "fractions", "logging", "diotuple.search", "diotuple.core",
+      "diotuple.bounds", "diotuple.sieve"}),
     (["sieve", "--set", "2,9", "--n", "100", "--k", "3", "--L", "3/2"],
      {"diotuple.sieve", "fractions"},
      {"mpmath", "logging", "diotuple.search", "diotuple.core", "diotuple.ff",
       "diotuple.bounds"}),
-], ids=["help", "ff-scan", "search-tuples", "sieve"])
+], ids=["help", "ff-scan", "search-tuples", "search-bipartite",
+        "char-sum-sweep", "sieve"])
 def test_subcommand_loads_only_its_layers(argv, needed, absent):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           capture_output=True, text=True, timeout=300,
@@ -814,14 +895,20 @@ _HUGE_BASES = (
     (["verify", "--k", "3", "--n", "1", "--tuple", "1,7"], ("--k", "--n")),
     (["sieve", "--set", "2,9", "--n", "100", "--k", "3", "--L", "1"],
      ("--k", "--n")),
-    (["sieve", "--audit", "2", "--N", "1000"], ("--N",)),
+    (["sieve", "--audit", "2", "--N", "1000"], ("--audit", "--N")),
     (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3", "--lam",
       "1"], ("--p", "--k", "--lam")),
     (["ff-scan", "--mode", "clique", "--p", "97", "--k", "3", "--lam", "1"],
      ("--p", "--k", "--lam")),
+    (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3",
+      "--lam-max", "2"], ("--lam-max",)),
+    (["ff-scan", "--mode", "clique", "--p", "499", "--k", "2", "--lam-max",
+      "2"], ("--lam-max",)),
     (["char-sum", "--p", "97", "--k", "3", "--A", "1,2", "--B", "1,2"],
      ("--p", "--k")),
     (["char-sum", "--k", "3", "--max-p", "100"], ("--k", "--max-p")),
+    (["char-sum", "--k", "2", "--max-p", "20000", "--interval", "5"],
+     ("--interval",)),
     (["thue-scan", "--a", "2", "--b", "1", "--k", "3", "--c", "1", "--X",
       "100"], ("--k", "--c", "--X")),
 )

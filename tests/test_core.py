@@ -226,6 +226,21 @@ def test_growth_chain_positives():
         assert rep.theta == Fraction(5, 4)
 
 
+def test_growth_chain_failure_is_reported(monkeypatch, caplog):
+    # with the products' check patched out, B = [819, 820] breaks its one
+    # link: 820 < 819^(5/4)
+    monkeypatch.setattr(core_mod, "_require_powers", lambda pairs, config: None)
+    with caplog.at_level(logging.ERROR, logger="diotuple.core"):
+        rep = check_superexponential_growth(5, 13, [819, 820],
+                                            TupleConfig(k=3, n=1), L=4)
+    assert not rep.ok
+    assert (rep.checked_links, rep.failures) == (1, ((1, 819, 820),))
+    assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [(
+        "diotuple.core",
+        "growth chain broke at links [(1, 819, 820)] for a1=5 a2=13 k=3 n=1 "
+        "-- this contradicts a theorem and means a bug")]
+
+
 def test_growth_chain_hypothesis_errors():
     cfg = TupleConfig(k=3, n=1)
     with pytest.raises(HypothesisError):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from diotuple import ff
 from diotuple.errors import InputError, InvariantViolation
-from diotuple.exact import is_prime, trial_factor
+from diotuple.exact import is_prime, primes_up_to, trial_factor
 from diotuple.ff import (
     CharacterSumResult,
     CliqueScanResult,
@@ -29,7 +29,6 @@ from diotuple.ff import (
     _clique_graph,
     primitive_root,
 )
-from diotuple.sieve import primes_up_to
 
 
 def test_power_classes_frozen():
@@ -252,9 +251,27 @@ def test_ff_scan_bipartite_cap():
         ff_scan_bipartite(cfg, 7)
 
 
+def test_sweep_budgets():
+    # eight shifts at p = 3137 with sides of 3 fit the bipartite sweep
+    # budget, nine do not
+    ff._refuse_bipartite_work(3137, 3, 8)
+    with pytest.raises(InputError, match="sweep of bipartite scans"):
+        ff._refuse_bipartite_work(3137, 3, 9)
+    # the k = 2 character-sum sweep took about 19 s to 2 * 10^5 and 66 s
+    # to 4 * 10^5 on the box that set the costs
+    def sides(max_p):
+        return [math.isqrt(p) for p in primes_up_to(max_p) if p >= 3]
+    ff._refuse_char_sweep(2, sides(2 * 10 ** 5))
+    with pytest.raises(InputError, match="above the cap of 60 s"):
+        ff._refuse_char_sweep(2, sides(4 * 10 ** 5))
+    # one sum over the whole field at p near the cap is past it
+    with pytest.raises(InputError, match="above the cap of 60 s"):
+        ff._refuse_char_sweep(2, [999982])
+
+
 def test_ff_scan_bipartite_work_cap_refused_before_building(monkeypatch):
-    # p^(max_side - 1) above BIPARTITE_WORK_CAP is refused before the
-    # p^2 / 8 bytes of partner rows are built
+    # p^(max_side - 1) + p^2/128 above BIPARTITE_WORK_CAP is refused before
+    # the p^2 / 8 bytes of partner rows are built
     class Built(Exception):
         pass
 
@@ -263,13 +280,14 @@ def test_ff_scan_bipartite_work_cap_refused_before_building(monkeypatch):
 
     monkeypatch.setattr(ff, "_partner_rows", no_rows)
     assert ff.BIPARTITE_WORK_CAP == 10 ** 7
-    for p, k, max_side in ((197, 2, 6), (97, 2, 5), (3163, 2, 3)):
+    for p, k, max_side in ((197, 2, 6), (97, 2, 5), (3163, 2, 3),
+                           (35729, 2, 2)):
         with pytest.raises(InputError, match="bipartite scan capped"):
             ff_scan_bipartite(FieldConfig(p, k, 1), max_side)
     # the golden inputs, criterion 7 and the sides of four at p = 31 pass
-    # the cap and go on to build
+    # the cap and go on to build, and so does the largest p for each side
     for p, max_side in ((97, 3), (3137, 3), (31, 4), (211, 4), (53, 5),
-                        (23, 6)):
+                        (23, 6), (35677, 2)):
         with pytest.raises(Built):
             ff_scan_bipartite(FieldConfig(p, 2, 1), max_side)
 

@@ -165,3 +165,32 @@ def test_only_errors_names_logging():
         for node in ast.walk(ast.parse(path.read_text())):
             name = _identifier(node) or ""
             assert name.partition(".")[0] != "logging", (path.name, node.lineno)
+
+
+def _package_imports(tree) -> set[str]:
+    """The diotuple modules a module's relative imports name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= ({node.module.partition(".")[0]} if node.module
+                    else {alias.name for alias in node.names})
+    return out
+
+
+def test_prime_arithmetic_lives_in_exact():
+    # the computing layers import only exact and errors, and search the
+    # domain types of core; the sieve of Eratosthenes is defined in exact
+    # alone, and search factors with exact.factor, not trial division
+    source = ROOT / "src" / "diotuple"
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(source.glob("*.py"))}
+    for layer in ("bounds", "core", "ff", "search", "sieve"):
+        extra = {"core"} if layer == "search" else set()
+        assert _package_imports(trees[layer]) <= {"errors", "exact"} | extra, \
+            layer
+    search_names = {_identifier(node) for node in ast.walk(trees["search"])}
+    assert not search_names & {"sieve", "trial_factor"}
+    assert [name for name, tree in trees.items()
+            if any(isinstance(node, ast.FunctionDef)
+                   and node.name == "primes_up_to"
+                   for node in ast.walk(tree))] == ["exact"]

@@ -16,7 +16,7 @@ from sympy.ntheory.residue_ntheory import nthroot_mod
 from diotuple import search
 from diotuple.core import BipartitePair, TupleConfig, verify_bipartite
 from diotuple.errors import InputError, InvariantViolation
-from diotuple.exact import is_perfect_kth_power
+from diotuple.exact import is_perfect_kth_power, primes_up_to
 from diotuple.search import (
     SearchBudget,
     SearchOutcome,
@@ -29,7 +29,6 @@ from diotuple.search import (
 from diotuple.search import (_candidates_single, _gap_floor_check,
                              _power_side_table, _prime_roots,
                              _residue_route)
-from diotuple.sieve import primes_up_to
 
 
 # ---------------------------------------------------------------- reference
