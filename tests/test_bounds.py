@@ -17,7 +17,6 @@ from diotuple.bounds import (
     _root_convergents,
     bipartite_side_bound,
     bound_reports,
-    derive_cubic_threshold,
     evertse_constants,
     large_element_exponents,
     table_constants,
@@ -60,13 +59,18 @@ def test_table_constants_t_shape():
         prev = t
 
 
+def derive_cubic_threshold() -> Fraction:
+    """Closed form behind the k = 3 threshold ratio, evaluated exactly:
+    (10 + (9/2)(rho - 1)) / (rho - 9) with rho = (5/3)^5."""
+    rho = Fraction(5, 3) ** 5
+    return (10 + Fraction(9, 2) * (rho - 1)) / (rho - 9)
+
+
 def test_derive_cubic_threshold():
-    # closed form (10 + (9/2)((5/3)^5 - 1)) / ((5/3)^5 - 9), exactly
+    # the tabulated t at k = 3 is the closed form, exactly
     got = derive_cubic_threshold()
     assert got == Fraction(15399, 938)
     assert got == table_constants(3).t
-    rho = Fraction(5, 3) ** 5
-    assert got == (10 + Fraction(9, 2) * (rho - 1)) / (rho - 9)
 
 
 def test_evertse_constants_frozen():

@@ -190,6 +190,36 @@ def test_caps_refused_at_once(monkeypatch, capsys):
         assert cap in captured.err, argv
 
 
+def test_explicit_char_sum_past_its_budget_refused_before_packing(
+        monkeypatch, capsys, tmp_path):
+    # one sum at p = 999983 over the sides 1..m, given through --config:
+    # m = 3 * 10^5 would take minutes and is refused before the packed
+    # pass, m = 10^5 (about 20 s) goes on to pack
+    from diotuple import ff
+
+    class Packed(Exception):
+        pass
+
+    def no_packing(sa, sb):
+        raise Packed
+
+    monkeypatch.setattr(ff, "_packed_sums", no_packing)
+    for m in (3 * 10 ** 5, 10 ** 5):
+        side = ",".join(map(str, range(1, m + 1)))
+        config = tmp_path / f"sides-{m}.conf"
+        config.write_text(f"p=999983\nk=2\nA={side}\nB={side}\n")
+        argv = ["char-sum", "--config", str(config)]
+        if m == 10 ** 5:
+            with pytest.raises(Packed):
+                cli.main(argv)
+            continue
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: this character sum needs about "
+                                "181 s, above the cap of 60 s\n")
+
+
 def test_input_errors_exit_one():
     cases = [
         ("verify", "--k", "3", "--n", "0", "--tuple", "2,13"),  # zero shift
@@ -783,17 +813,27 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = exc.code
 print(json.dumps({"code": code, "modules": sorted(
     m for m in sys.modules
-    if m in ("mpmath", "fractions", "dataclasses", "logging")
+    if m in ("mpmath", "fractions", "dataclasses", "inspect", "logging")
     or m.startswith("diotuple."))}))
 """
 
 
 @pytest.mark.parametrize("argv, needed, absent", [
     (["--help"], {"diotuple.cli"},
-     {"mpmath", "fractions", "dataclasses", "logging"}),
+     {"mpmath", "fractions", "dataclasses", "inspect", "logging"}),
     (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3",
       "--maxA", "3"],
      {"diotuple.ff"},
+     {"mpmath", "fractions", "dataclasses", "inspect", "logging",
+      "diotuple.search", "diotuple.core", "diotuple.bounds", "diotuple.sieve"}),
+    # the clique and character-sum results are dataclasses, declared on
+    # first use
+    (["ff-scan", "--mode", "clique", "--p", "13", "--k", "3"],
+     {"diotuple.ff", "dataclasses"},
+     {"mpmath", "fractions", "logging", "diotuple.search", "diotuple.core",
+      "diotuple.bounds", "diotuple.sieve"}),
+    (["char-sum", "--p", "13", "--k", "3", "--A", "1,2", "--B", "3"],
+     {"diotuple.ff", "dataclasses"},
      {"mpmath", "fractions", "logging", "diotuple.search", "diotuple.core",
       "diotuple.bounds", "diotuple.sieve"}),
     (["search-tuples", "--k", "3", "--n", "1", "--N", "2000"],
@@ -812,8 +852,8 @@ print(json.dumps({"code": code, "modules": sorted(
      {"diotuple.sieve", "fractions"},
      {"mpmath", "logging", "diotuple.search", "diotuple.core", "diotuple.ff",
       "diotuple.bounds"}),
-], ids=["help", "ff-scan", "search-tuples", "search-bipartite",
-        "char-sum-sweep", "sieve"])
+], ids=["help", "ff-scan", "ff-scan-clique", "char-sum", "search-tuples",
+        "search-bipartite", "char-sum-sweep", "sieve"])
 def test_subcommand_loads_only_its_layers(argv, needed, absent):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
                           capture_output=True, text=True, timeout=300,

@@ -1,18 +1,20 @@
 """Prime-field scans: power classes, bipartite size inequality, pairwise
 cliques, character sums."""
 
+import dataclasses
 import itertools
 import logging
 import math
+import pickle
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diotuple
 from diotuple import ff
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import is_prime, primes_up_to, trial_factor
@@ -24,11 +26,32 @@ from diotuple.ff import (
     char_sum,
     ff_scan_bipartite,
     ff_scan_clique,
-    ff_verify,
-    power_classes,
     _clique_graph,
     primitive_root,
 )
+
+
+def power_classes(p: int, k: int) -> set[int]:
+    """The nonzero k-th powers mod p; k must divide p - 1 (k = 1 allowed).
+    Test-only oracle for the classes the scans and sums build."""
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
+    if k < 1 or (p - 1) % k != 0:
+        raise InputError(f"need k >= 1 dividing p-1, got k={k}, p={p}")
+    return {pow(x, k, p) for x in range(1, p)}
+
+
+def ff_verify(A, B, config) -> bool:
+    """True iff every product a*b + lam lands in the power classes or at 0.
+    Test-only oracle for the partner sets of the bipartite scan."""
+    p = config.p
+    sa, sb = set(A), set(B)
+    for side in (sa, sb):
+        for x in side:
+            if not 1 <= x <= p - 1:
+                raise InputError(f"element {x} outside [1, {p - 1}]")
+    good = power_classes(p, config.k) | {0}
+    return all((a * b + config.lam) % p in good for a in sa for b in sb)
 
 
 def test_power_classes_frozen():
@@ -91,6 +114,68 @@ def test_field_config_validation():
         FieldConfig(13, 3, lam=13)
     with pytest.raises(InputError):
         FieldConfig(7, 3, g=4)  # 4^3 = 1 mod 7: not a generator
+
+
+def test_field_config_is_a_named_tuple():
+    cfg = FieldConfig(97, 3)
+    assert cfg._fields == ("p", "k", "lam", "g")
+    assert tuple(cfg) == (97, 3, 1, 5)
+    assert cfg == FieldConfig(97, 3, 1) == FieldConfig(97, 3, 1, 5) == \
+        FieldConfig(p=97, k=3, lam=1, g=5) == FieldConfig(97, k=3, g=5)
+    assert cfg != FieldConfig(97, 3, 2)
+    assert repr(cfg) == "FieldConfig(p=97, k=3, lam=1, g=5)"
+    assert hash(cfg) == hash(FieldConfig(p=97, k=3))
+    assert len({cfg, FieldConfig(97, 3, g=5), FieldConfig(97, 3, 2)}) == 2
+    assert cfg.class_size == 32
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    with pytest.raises(AttributeError):
+        cfg.g = 7
+    with pytest.raises(AttributeError):
+        cfg.deficit = 1
+    with pytest.raises(TypeError):
+        FieldConfig(97)
+
+
+def test_field_scan_result_is_a_named_tuple():
+    r = ff_scan_bipartite(FieldConfig(13, 3, 1), 3)
+    assert r._fields == ("p", "k", "lam", "class_size", "scanned",
+                         "max_product", "extremal", "min_slack", "violations")
+    fields = dict(p=13, k=3, lam=1, class_size=4, scanned=24, max_product=4,
+                  extremal=((1, 3), (4, 11)), min_slack=2, violations=())
+    assert r == FieldScanResult(**fields) == FieldScanResult(*fields.values())
+    assert r._asdict() == fields
+    assert repr(r) == (
+        "FieldScanResult(p=13, k=3, lam=1, class_size=4, scanned=24, "
+        "max_product=4, extremal=((1, 3), (4, 11)), min_slack=2, "
+        "violations=())")
+    assert hash(r) == hash(FieldScanResult(**fields))
+    assert r != FieldScanResult(**{**fields, "scanned": 25})
+    with pytest.raises(AttributeError):
+        r.scanned = 0
+
+
+def test_clique_and_char_sum_results_stay_dataclasses():
+    # perfbench serializes both through dataclasses.fields; ff declares
+    # them on first use, with the names and pickling of import-time classes
+    results = (ff_scan_clique(FieldConfig(13, 3, 1)),
+               char_sum([1, 2], [3], FieldConfig(13, 3)))
+    for cls, r in zip((CliqueScanResult, CharacterSumResult), results):
+        assert dataclasses.is_dataclass(cls) and type(r) is cls
+        assert cls.__qualname__ == cls.__name__
+        assert cls.__module__ == "diotuple.ff"
+        assert getattr(ff, cls.__name__) is cls
+        assert getattr(diotuple, cls.__name__) is cls
+        assert pickle.loads(pickle.dumps(r)) == r
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.p = 7
+    assert repr(results[0]) == (
+        "CliqueScanResult(p=13, k=3, lam=1, max_size=3, witness=(1, 7, 11), "
+        "bound=6.82842712474619, violation=False)")
+    assert [f.name for f in dataclasses.fields(results[1])] == [
+        "p", "k", "size_a", "size_b", "counts", "zero_hits", "magnitude",
+        "exponent"]
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        ff.nope
 
 
 def test_ff_verify():
@@ -191,11 +276,13 @@ def reference_scan_bipartite(config, max_side):
                            extremal, min_slack, tuple(violations))
 
 
-@dataclass(frozen=True)
 class UnderstatedConfig(FieldConfig):
     """Reports |S_k| too small by `deficit`, so that scans find violations."""
 
-    deficit: int = 0
+    def __new__(cls, p, k, lam, deficit):
+        config = super().__new__(cls, p, k, lam)
+        config.deficit = deficit
+        return config
 
     @property
     def class_size(self) -> int:

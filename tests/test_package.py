@@ -29,19 +29,18 @@ def test_export_list_is_pinned():
         "VerifyReport", "bipartite_side_bound", "bound_reports",
         "brute_force_tuples", "candidates_for", "char_sum",
         "check_gap_quadruple", "check_superexponential_growth",
-        "compare_value_to_power", "derive_cubic_threshold", "euler_phi",
-        "evertse_constants", "ff_scan_bipartite", "ff_scan_clique",
-        "ff_verify", "format_rational", "gallagher_bound",
-        "gap_lower_bound", "growth_exponents", "integer_kth_root",
-        "is_perfect_kth_power", "is_prime", "kth_power_residues",
-        "large_element_exponents", "parse_natural", "parse_rational",
-        "power_classes", "primes_in_class", "primes_up_to", "primitive_root",
+        "compare_value_to_power", "euler_phi", "evertse_constants",
+        "ff_scan_bipartite", "ff_scan_clique", "format_rational",
+        "gallagher_bound", "gap_lower_bound", "growth_exponents",
+        "integer_kth_root", "is_perfect_kth_power", "is_prime",
+        "kth_power_residues", "large_element_exponents", "parse_natural",
+        "parse_rational", "primes_in_class", "primes_up_to", "primitive_root",
         "search_bipartite", "search_tuples", "sieve_pipeline",
         "table_constants", "tail_term", "thue_scan", "trial_factor",
         "tuple_size_bound", "tuple_size_bound_closed",
         "tuple_size_small_regime", "verify_bipartite", "verify_tuple",
     ]
-    assert len(diotuple.__all__) == 60
+    assert len(diotuple.__all__) == 57
 
 
 def _bench_names(script: str, *targets: str) -> list[str]:
@@ -117,6 +116,30 @@ def test_readme_library_example_prints_its_comments():
     assert out.getvalue().splitlines() == expected
 
 
+def _run_probe(probe: str) -> str:
+    """The stdout of probe, run in a fresh interpreter on this diotuple."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(diotuple.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_ff_loads_dataclasses_on_first_use():
+    # ff's named tuples need no dataclasses; its two dataclass results are
+    # declared when first looked up or built
+    probe = """
+import sys
+import diotuple.ff
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+from diotuple.ff import CliqueScanResult
+print("dataclasses" in sys.modules)
+"""
+    assert _run_probe(probe) == "[]\nTrue\n"
+
+
 def test_library_layers_load_logging_only_on_failure():
     # a failed invariant is reported through errors.report_failure, which
     # reads logging only if the caller loaded it; the layers never import it
@@ -132,13 +155,7 @@ check_gap_quadruple(1, 14, 2, 9, TupleConfig(k=3, n=-1))
 thue_scan(3, 2, 3, 25, 400)
 print("logging" in sys.modules)
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(Path(diotuple.__file__).resolve().parents[1]),
-                      os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert _run_probe(probe) == "False\n"
 
 
 def _identifier(node):
