@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, report_failure
-from .exact import integer_kth_root, is_perfect_kth_power
+from .exact import integer_kth_root, is_perfect_kth_power, parse_rational
 
 # thue_scan refuses a small-x zone wider than this (about 5 s of scanning)
 THUE_ZONE_CAP = 10 ** 6
@@ -94,10 +94,11 @@ def tail_term(k: int, L) -> float:
     """The additive tail T(k, L) = 3(log 18 - log L)/(log(k-1) - log(3 + k/L - k)) + 12.
 
     Defined for k/(2k-4) < L <= k/(k-2); on that range the denominator is
-    positive and T > 12.  Range ends are compared exactly.
+    positive and T > 12.  Range ends are compared exactly.  L is an int, a
+    Fraction or a 'p' or 'p/q' string (exact.parse_rational).
     """
     lo, hi = _range_endpoints(k)
-    Lf = Fraction(L)
+    Lf = parse_rational(L)
     if Lf <= lo:
         raise InputError(f"L must exceed k/(2k-4) = {lo}, got {L}")
     if Lf > hi:
@@ -146,7 +147,7 @@ def tuple_size_bound(n: int, k: int, L) -> float:
     if n == 0:
         raise InputError("shift n must be nonzero")
     tail = tail_term(k, L)  # validates k and L
-    Lf = Fraction(L)
+    Lf = parse_rational(L)
     from mpmath import mp
     with mp.workprec(120):
         radicand = mp.power(abs(n), 2 * mp.mpf(Lf.numerator) / Lf.denominator) + n
@@ -226,6 +227,7 @@ def bound_reports(n: int, k: int, L=None) -> list[BoundReport]:
             "tuple-size-small-regime", {"n": n, "k": k}, Fraction(19), True,
             "closed bound <= 19 once |n|>=2 and k >= 2log|n|+2"))
     if L is not None:
+        L = parse_rational(L)
         reports.append(BoundReport(
             "tail-term", {"k": k, "L": str(L)}, tail_term(k, L), False,
             "3(log18-logL)/(log(k-1)-log(3+k/L-k))+12"))

@@ -71,6 +71,13 @@ def _arg(parse, *args):
     return convert
 
 
+def _no_config(text: str):
+    """The type of the declared --config: _inject_config has taken the one
+    --config FILE or --config=FILE, so any value reaching argparse came
+    from an abbreviation or a second --config."""
+    raise InputError("give --config once, spelled out in full")
+
+
 def _refuse(args, flags: tuple[str, ...], where: str):
     """Exit 1 if any of flags was given where the mode being run ignores it."""
     given = [f for f in flags
@@ -479,33 +486,39 @@ def _build_parser(invoked: str | None) -> tuple[_Parser, dict]:
         sp = registry[name] = subs.add_parser(name, help=summary)
         sp.set_defaults(func=func)
         if name == invoked:
-            sp.add_argument("--config", help="key=value file with flag defaults")
+            sp.add_argument("--config", type=_arg(_no_config),
+                            help="key=value file with flag defaults")
             flags(sp)
     return parser, registry
 
 
 def _inject_config(argv: list[str], registry: dict) -> list[str]:
-    """Splice key=value file contents in as defaults; real flags win."""
-    if not argv or argv[0] not in registry or "--config" not in argv:
+    """Splice the key=value contents of the file named by the first
+    --config FILE or --config=FILE in as defaults; real flags win.
+
+    Every --config=FILE is read as --config FILE first.  A --config with
+    no path after it, and any second one, is left to argparse, which
+    refuses it.  A key must name a flag that takes a value, not config.
+    """
+    if not argv or argv[0] not in registry:
+        return argv
+    argv = [part for arg in argv for part in
+            (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
+    if "--config" not in argv[:-1]:
         return argv
     idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise InputError("--config needs a file path")
-    path = argv[idx + 1]
     rest = argv[1:idx] + argv[idx + 2:]
     option_map = registry[argv[0]].flag_actions
     extra: list[str] = []
-    for line in _read_lines(path, "--config"):
+    for line in _read_lines(argv[idx + 1], "--config"):
         if line.startswith("#"):
             continue
         if "=" not in line:
             raise InputError(f"config line is not key=value: {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key == "config":
-            raise InputError("config files cannot nest")
         action = option_map.get("--" + key)
-        if action is None or action.nargs == 0:
+        if action is None or action.nargs == 0 or key == "config":
             raise InputError(f"unknown config key {key!r} for {argv[0]}")
         extra.extend(["--" + key, value])
     return [argv[0]] + extra + rest

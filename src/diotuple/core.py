@@ -14,7 +14,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import HypothesisError, InputError, report_failure
-from .exact import compare_value_to_power, is_perfect_kth_power
+from .exact import compare_value_to_power, is_perfect_kth_power, parse_rational
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def growth_exponents(k: int, L) -> tuple[float | None, float | None]:
     """
     if k < 3:
         raise InputError(f"growth exponents need k >= 3, got {k}")
-    Lf = Fraction(L)
+    Lf = parse_rational(L)
     if Lf <= 0:
         raise InputError(f"L must be positive, got {L}")
     theta_exp = None
@@ -266,7 +266,7 @@ def check_superexponential_growth(a1: int, a2: int, B: Sequence[int],
     elems = _check_elements(B, "B")
     if not elems:
         raise HypothesisError("B must be nonempty")
-    Lf = Fraction(L)
+    Lf = parse_rational(L)
     if Lf <= Fraction(k, k - 2):
         raise HypothesisError(
             f"L must exceed k/(k-2) = {Fraction(k, k - 2)}, got {L}")

@@ -1,11 +1,16 @@
-"""Exception types shared across the package, and the one report of a
-failed invariant.
+"""Exception types shared across the package, the one work budget, and the
+one report of a failed invariant.
 
 The split matters for the CLI exit codes: bad input is the caller's fault,
 a failed mathematical invariant is ours.
 """
 
 import sys
+
+# a computation whose estimated time or memory passes these is refused
+# before it starts
+SECONDS_CAP = 60
+BYTES_CAP = 2 * 2 ** 30
 
 
 class InputError(ValueError):
@@ -26,6 +31,16 @@ class InvariantViolation(RuntimeError):
     This never indicates bad input; it indicates an implementation bug and
     is surfaced loudly rather than swallowed.
     """
+
+
+def refuse_above_cap(what: str, ns: int, size: int, advice: str = ""):
+    """Raise InputError when an estimate of ns nanoseconds and size bytes
+    passes SECONDS_CAP or BYTES_CAP; what names the work, advice ends the
+    message."""
+    if ns > SECONDS_CAP * 10 ** 9 or size > BYTES_CAP:
+        raise InputError(
+            f"{what} needs about {ns // 10 ** 9} s and {size >> 20} MiB, above "
+            f"the cap of {SECONDS_CAP} s and {BYTES_CAP >> 20} MiB{advice}")
 
 
 def report_failure(name: str, msg: str, *args) -> None:

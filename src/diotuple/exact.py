@@ -23,7 +23,9 @@ from .errors import InputError, InvariantViolation
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
-# Deterministic Miller-Rabin bases for n < 3.3 * 10^24 (covers all of u64).
+# Deterministic Miller-Rabin bases for n < psi_12 = 318665857834031151167461
+# (about 3.19 * 10^23; Sorenson and Webster, Math. Comp. 86 (2017)), the
+# least strong pseudoprime to all twelve; so they cover all of u64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # integer_kth_root seeds a root above this many bits from the root of the
@@ -108,17 +110,19 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
-        raise InputError(f"not a rational 'p' or 'p/q': {text!r}")
+def parse_rational(value) -> Fraction:
+    """An exact rational from an int, a Fraction, or a 'p' or 'p/q' string;
+    floats, bools and anything else are refused."""
     from fractions import Fraction
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    s = value.strip() if isinstance(value, str) else ""
+    if not _RATIONAL_RE.match(s):
+        raise InputError(f"not a rational 'p' or 'p/q': {value!r}")
+    num, _, den = s.partition("/")
+    if den and int(den) == 0:
+        raise InputError(f"zero denominator: {value!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def trial_factor(m: int) -> list[tuple[int, int]]:
@@ -153,7 +157,8 @@ def primes_up_to(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; valid for n < 2**64 (and well beyond)."""
+    """Deterministic Miller-Rabin; valid for n < 2**64 (the bases hold up
+    to psi_12, about 3.19 * 10^23)."""
     if n >= 1 << 64:
         raise InputError("primality test is deterministic only below 2**64")
     if n < 2:

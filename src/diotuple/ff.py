@@ -13,13 +13,11 @@ import sys
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import InputError, InvariantViolation, report_failure
+from .errors import (InputError, InvariantViolation, refuse_above_cap,
+                     report_failure)
 from .exact import factor, is_prime
 
 CHAR_SUM_CAP = 10 ** 6
-# a character sum, or a sweep of them, whose estimated time (see
-# _refuse_char_sums) passes this is refused before the first sum
-CHAR_SUM_SECONDS_CAP = 60
 # What one char_sum costs, in nanoseconds, measured on a 2-core AMD EPYC box
 # under CPython 3.11 at p up to 10^6: a fixed part (the field and its
 # generator), a part per power of the root of unity (k of them), per slot
@@ -27,6 +25,10 @@ CHAR_SUM_SECONDS_CAP = 60
 # Euler's criterion at most once) and per slot and element of the smaller
 # side (the packed pass adds one shifted copy of the slots per element)
 _CHAR_SUM_NS = (50_000, 1500, 2000, 1)
+# and its bytes per slot: a slot counts fewer than p <= CHAR_SUM_CAP pairs,
+# so it takes at most 4 bytes, and the packed pass holds about five copies
+# of the slots (the indicator, its integer, the total, its bytes, the counts)
+_CHAR_SUM_SLOT_BYTES = 24
 CLIQUE_CAP = 500
 CLASS_OMEGA_CAP = 1024  # shift classes whose clique number is kept
 BIPARTITE_SIDE_CAP = 6
@@ -35,9 +37,9 @@ BIPARTITE_SIDE_CAP = 6
 # this cap p = 3137 with sides of 3 takes about 7 s on a 2-core AMD EPYC
 # box, and p = 35677 with sides of 2 about 5 s
 BIPARTITE_WORK_CAP = 10 ** 7
-# a sweep of bipartite scans over shifts is refused above this work in all:
-# eight shifts at p = 3137 with sides of 3, about 55 s
-BIPARTITE_SWEEP_CAP = 8 * 10 ** 7
+# what one unit of that work costs in nanoseconds, on the same box: eight
+# scans at p = 3137 with sides of 3, 9,917,650 units each, took about 55 s
+_BIPARTITE_UNIT_NS = 690
 
 
 def _generates(g: int, p: int, factors: list[tuple[int, int]]) -> bool:
@@ -142,9 +144,11 @@ def _bits(mask: int):
 
 
 def _refuse_bipartite_work(p: int, max_side: int, shifts: int = 1):
-    """Refuse a bipartite scan at p with sides up to max_side, or a sweep
-    of it over this many shifts, whose work passes its cap: p^(max_side - 1)
-    walked sides and p^2 / 128 for the partner rows, per scan."""
+    """Refuse a bipartite scan at p with sides up to max_side whose work
+    passes its cap: p^(max_side - 1) walked sides and p^2 / 128 for the
+    partner rows.  A sweep of it over this many shifts is refused when its
+    time, at _BIPARTITE_UNIT_NS a unit, or one scan's p^2 / 8 bytes of
+    partner rows pass the work budget of errors."""
     if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
         raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
     work = p ** (max_side - 1) + p * p // 128
@@ -152,11 +156,10 @@ def _refuse_bipartite_work(p: int, max_side: int, shifts: int = 1):
         raise InputError(
             f"bipartite scan capped at p^(maxA - 1) + p^2/128 <= "
             f"{BIPARTITE_WORK_CAP}, got p={p} with sides of {max_side}")
-    if shifts * work > BIPARTITE_SWEEP_CAP:
-        raise InputError(
-            f"a sweep of bipartite scans is capped at {BIPARTITE_SWEEP_CAP} "
-            f"in all, got {shifts} shifts of {work} at p={p} with sides of "
-            f"{max_side}; lower --lam-max")
+    refuse_above_cap(
+        f"a sweep of {shifts} bipartite scans at p={p} with sides of "
+        f"{max_side}", shifts * work * _BIPARTITE_UNIT_NS, p * p // 8,
+        "; lower --lam-max")
 
 
 def ff_scan_bipartite(config: FieldConfig, max_side: int) -> FieldScanResult:
@@ -518,17 +521,16 @@ def _packed_sums(sa: set[int], sb: set[int]) -> Iterable[tuple[int, int]]:
 
 def _refuse_char_sums(k: int, sums: list[tuple[int, int]], advice: str = ""):
     """Refuse char_sum at degree k over these sums, before the first one,
-    when their estimated time (_CHAR_SUM_NS) passes CHAR_SUM_SECONDS_CAP.
-    Each sum is (size of the smaller side, span(A) + span(B))."""
+    when their estimated time (_CHAR_SUM_NS) or the largest packed pass
+    (_CHAR_SUM_SLOT_BYTES) passes the work budget of errors.  Each sum is
+    (size of the smaller side, span(A) + span(B))."""
     fixed, per_power, per_slot, per_copy = _CHAR_SUM_NS
     ns = sum(fixed + per_power * k + (per_slot + per_copy * small) * slots
              for small, slots in sums)
-    if ns > CHAR_SUM_SECONDS_CAP * 10 ** 9:
-        what = (f"this sweep of {len(sums)} character sums" if len(sums) > 1
-                else "this character sum")
-        raise InputError(
-            f"{what} needs about {ns // 10 ** 9} s, above the cap of "
-            f"{CHAR_SUM_SECONDS_CAP} s{advice}")
+    size = _CHAR_SUM_SLOT_BYTES * max((slots for _, slots in sums), default=0)
+    refuse_above_cap(f"this sweep of {len(sums)} character sums"
+                     if len(sums) > 1 else "this character sum",
+                     ns, size, advice)
 
 
 def _refuse_char_sweep(k: int, sides: list[int]):
@@ -547,8 +549,8 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     equally filled => magnitude is 0.0, not an epsilon).
     The counts of each sum come from one packed big-integer pass
     (_packed_sums), whose work grows with the smaller set's size times
-    span(A) + span(B), span = max - min + 1; a sum estimated to pass
-    CHAR_SUM_SECONDS_CAP is refused before it.  Each sum s != 0 that occurs
+    span(A) + span(B), span = max - min + 1; a sum estimated to pass the
+    work budget of errors is refused before it.  Each sum s != 0 that occurs
     is classed by Euler's criterion: with e = (p-1)/k and s = g^i,
     s^e = (g^e)^(i mod k), read off the k powers of g^e, so the cost beyond
     the pass is one exponentiation per distinct sum.

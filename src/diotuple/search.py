@@ -29,15 +29,11 @@ from itertools import islice
 
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
                    gap_lower_bound)
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, refuse_above_cap
 from .exact import factor, integer_kth_root, primes_up_to
 
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4
-# a search whose estimated time or memory (see _search_cost) passes these
-# is refused before anything is built
-SEARCH_SECONDS_CAP = 60
-SEARCH_BYTES_CAP = 2 * 2 ** 30
 # What one unit of a search costs at most, in (nanoseconds, bytes), measured
 # on a 2-core AMD EPYC box under CPython 3.11 over search_tuples and
 # search_bipartite up to N = 18000 at k = 2 with n >= 1 - N, 3 * 10^5 at
@@ -287,25 +283,16 @@ def _search_cost(k: int, n: int, N: int) -> tuple[int, int]:
     return ns + sieve_ns * units + walk, size + sieve_bytes * units
 
 
-def _refuse_above_cap(what: str, k: int, n: int, N: int, ns: int,
-                      size: int):
-    if ns > SEARCH_SECONDS_CAP * 10 ** 9 or size > SEARCH_BYTES_CAP:
-        raise InputError(
-            f"{what} at k={k}, n={n}, N={N} needs about {ns // 10 ** 9} s "
-            f"and {size >> 20} MiB, above the cap of {SEARCH_SECONDS_CAP} s "
-            f"and {SEARCH_BYTES_CAP >> 20} MiB; lower N")
-
-
 def _graph(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     """Every a <= N with a partner b <= N (a*b + n = x^k), mapped to its
     sorted partners.
 
     On the _residue_route each row is built by _row; otherwise the
     power-side table is the graph.  Before anything is built, a search is
-    refused whose _search_cost passes SEARCH_SECONDS_CAP or
-    SEARCH_BYTES_CAP.
+    refused whose _search_cost passes the work budget of errors.
     """
-    _refuse_above_cap("search", k, n, N, *_search_cost(k, n, N))
+    refuse_above_cap(f"search at k={k}, n={n}, N={N}",
+                     *_search_cost(k, n, N), "; lower N")
     if _residue_route(k, n, N):
         return {a: row for a in range(1, N + 1) if (row := _row(a, k, n, N))}
     return _power_side_table(k, n, N)
@@ -325,12 +312,10 @@ def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     if N < 1:
         raise InputError(f"height must be >= 1, got {N}")
     k, n = config.k, config.n
-    ns = size = 0
-    for a in elems:
-        row_ns, row_size = _row_charge(a, k, n, N)
-        ns += row_ns
-        size += row_size
-    _refuse_above_cap("candidates", k, n, N, ns, size)
+    charges = [_row_charge(a, k, n, N) for a in elems]
+    refuse_above_cap(f"candidates at k={k}, n={n}, N={N}",
+                     sum(ns for ns, _ in charges),
+                     sum(size for _, size in charges), "; lower N")
     rows = sorted([_candidates_single(a, k, n, N) for a in elems], key=len)
     out = set(rows[0])
     for row in rows[1:]:

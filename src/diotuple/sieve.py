@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 from .errors import InputError
 from .exact import (_cross_powering_fits, compare_value_to_power, factor,
-                    integer_kth_root, is_prime, primes_up_to, trial_factor)
+                    integer_kth_root, is_prime, parse_rational, primes_up_to,
+                    trial_factor)
 
 # sieve_pipeline refuses a prime window Q above this (about 1.6 s and 72 MB
 # of sieving at Q near 10^7)
@@ -147,7 +148,7 @@ def sieve_pipeline(A: Sequence[int], n: int, k: int, L) -> PipelineResult:
         raise InputError("pipeline needs |n| >= 2")
     if k < 2:
         raise InputError(f"degree must be >= 2, got {k}")
-    Lf = Fraction(L)
+    Lf = parse_rational(L)
     if Lf <= Fraction(1, 2):
         raise InputError(f"height exponent must exceed 1/2, got {L}")
     phi = euler_phi(k)

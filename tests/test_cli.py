@@ -136,7 +136,9 @@ def test_sweeps_past_their_budget_refused_before_any_work(monkeypatch,
             (["ff-scan", "--mode", "bipartite", "--p", "97", "--k", "3",
               "--lam-max", "97"], "shift must be in [1, p-1], got 97"),
             (["ff-scan", "--mode", "bipartite", "--p", "3137", "--k", "2",
-              "--lam-max", "9"], "sweep of bipartite scans is capped"),
+              "--lam-max", "9"],
+             "a sweep of 9 bipartite scans at p=3137 with sides of 3 needs "
+             "about 61 s"),
             (["char-sum", "--k", "2", "--max-p", "400000"],
              "above the cap of 60 s"),
             (["char-sum", "--k", "2", "--max-p", "20000", "--interval",
@@ -217,7 +219,8 @@ def test_explicit_char_sum_past_its_budget_refused_before_packing(
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: this character sum needs about "
-                                "181 s, above the cap of 60 s\n")
+                                "181 s and 13 MiB, above the cap of 60 s and "
+                                "2048 MiB\n")
 
 
 def test_input_errors_exit_one():
@@ -603,6 +606,34 @@ def test_config_true_false_key(tmp_path):
         assert code == 1
         assert out == ""
         assert err == "error: unknown config key 'help' for search-tuples\n"
+
+
+def test_config_is_read_in_both_spellings_and_no_other(tmp_path, capsys):
+    # --config FILE and --config=FILE apply the file; an abbreviation, a
+    # second --config or a missing file is refused, never parsed and dropped
+    cfg = tmp_path / "one.conf"
+    cfg.write_text("max-results=1\n")
+    base = ["search-tuples", "--k", "3", "--n", "1", "--N", "50"]
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"],
+                     [f"--config={cfg}", "--max-results", "1"]):
+        assert _main_exit(base + spelling) == 2, spelling
+        assert len(records(capsys.readouterr().out)) == 2  # a tuple, summary
+    for spelling in (["--conf", str(cfg)], [f"--conf={cfg}"],
+                     ["--config", str(cfg), "--config", str(cfg)],
+                     [f"--config={cfg}", "--config", str(cfg)],
+                     ["--config=" + str(tmp_path / "missing.conf")],
+                     ["--config"]):
+        assert _main_exit(base + spelling) == 1, spelling
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and \
+            captured.err.count("\n") == 1, spelling
+    # thue-scan's exact --c still parses next to an abbreviated --config
+    thue = ["thue-scan", "--a", "2", "--b", "1", "--k", "3", "--X", "100"]
+    assert _main_exit(thue + ["--c", "1"]) == 0
+    assert records(capsys.readouterr().out)[0]["c"] == "1"
+    assert _main_exit(thue + ["--c", "1", "--conf", "/missing"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_exit_three_on_fabricated_violation(monkeypatch, capsys):

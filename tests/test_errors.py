@@ -1,7 +1,9 @@
-"""errors.report_failure: where a failed-invariant report goes."""
+"""errors: where a failed-invariant report goes, and the one work budget."""
 
 import logging
 import sys
+
+import pytest
 
 from diotuple.errors import report_failure
 
@@ -41,3 +43,18 @@ def test_report_failure_is_silent_when_disabled(monkeypatch, caplog, capsys):
     report_failure(NAME, "bound failed at p=%d", 13)
     assert caplog.records == []
     assert capsys.readouterr().err == ""
+
+
+def test_refuse_above_cap_admits_exactly_the_budget():
+    # the work budget of every estimated computation: admitted at either
+    # cap, refused one nanosecond or one byte above it
+    from diotuple import errors
+    assert (errors.SECONDS_CAP, errors.BYTES_CAP) == (60, 2 ** 31)
+    ns, size = errors.SECONDS_CAP * 10 ** 9, errors.BYTES_CAP
+    errors.refuse_above_cap("work", ns, size, "; lower N")
+    for over in ((ns + 1, size), (ns, size + 1)):
+        with pytest.raises(errors.InputError) as err:
+            errors.refuse_above_cap("this work", *over, "; lower N")
+        assert str(err.value) == (
+            f"this work needs about 60 s and {over[1] >> 20} MiB, above the "
+            "cap of 60 s and 2048 MiB; lower N")

@@ -12,6 +12,7 @@ from sympy import integer_nthroot
 
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import (
+    _MR_BASES,
     compare_value_to_power,
     factor,
     format_rational,
@@ -183,6 +184,51 @@ def test_rational_round_trip():
         parse_rational("")
 
 
+def test_parse_rational_reads_exact_values_only():
+    # ints and Fractions are taken as they are; a float, a bool or any
+    # other non-string is refused, not rounded to its binary value
+    assert parse_rational(3) == Fraction(3)
+    assert parse_rational(Fraction(10, 4)) == Fraction(5, 2)
+    assert type(parse_rational(7)) is Fraction
+    for bad in (2.9, True, False, None, [3], 3j, b"3"):
+        with pytest.raises(InputError):
+            parse_rational(bad)
+
+
+# every library function that takes the height exponent L
+def _l_readers():
+    from diotuple import (bound_reports, check_superexponential_growth,
+                          growth_exponents, sieve_pipeline, tail_term,
+                          tuple_size_bound)
+    from diotuple.core import TupleConfig
+    return {
+        "tail_term": lambda L: tail_term(3, L),
+        "tuple_size_bound": lambda L: tuple_size_bound(2, 3, L),
+        "bound_reports": lambda L: bound_reports(2, 3, L),
+        "growth_exponents": lambda L: growth_exponents(3, L),
+        "check_superexponential_growth": lambda L: check_superexponential_growth(
+            5, 13, [819], TupleConfig(k=3, n=1), L),
+        "sieve_pipeline": lambda L: sieve_pipeline([2, 9], 100, 3, L),
+    }
+
+
+@pytest.mark.parametrize("reader", sorted(_l_readers()))
+# 4.5 lies in the growth chain's range (L > 3 at k = 3), where 2.9 does not
+@pytest.mark.parametrize("L", [2.9, 4.5, True, "1.5", "2.5e0", "3/0"])
+def test_every_l_reader_admits_exact_rationals_only(reader, L):
+    with pytest.raises(InputError):
+        _l_readers()[reader](L)
+
+
+def test_bound_reports_records_the_exponent_it_read():
+    from diotuple import bound_reports
+    for L, want in (("10/4", "5/2"), (Fraction(5, 2), "5/2"), (3, "3"),
+                    (" 3/1 ", "3")):
+        params = [r.parameters["L"] for r in bound_reports(2, 3, L)
+                  if "L" in r.parameters]
+        assert params == [want, want], L
+
+
 def test_trial_factor():
     assert trial_factor(1) == []
     assert trial_factor(2) == [(2, 1)]
@@ -249,6 +295,24 @@ def test_is_prime_small_vs_sieve():
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     for n in range(limit + 1):
         assert is_prime(n) == bool(sieve[n])
+
+
+def test_miller_rabin_bases_stop_at_psi_12():
+    # psi_12 (Sorenson and Webster, Math. Comp. 86, 2017) is composite and
+    # a strong probable prime to every base of _MR_BASES, so the bases are
+    # deterministic below it only; is_prime admits nothing from 2^64 up
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    d, s = psi_12 - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, psi_12)
+        assert x in (1, psi_12 - 1) or any(
+            pow(x, 2 ** r, psi_12) == psi_12 - 1 for r in range(1, s)), a
+    assert psi_12 > 2 ** 64
+    with pytest.raises(InputError):
+        is_prime(psi_12)
 
 
 def test_is_prime_large_words():

@@ -342,7 +342,7 @@ def test_sweep_budgets():
     # eight shifts at p = 3137 with sides of 3 fit the bipartite sweep
     # budget, nine do not
     ff._refuse_bipartite_work(3137, 3, 8)
-    with pytest.raises(InputError, match="sweep of bipartite scans"):
+    with pytest.raises(InputError, match="sweep of 9 bipartite scans"):
         ff._refuse_bipartite_work(3137, 3, 9)
     # the k = 2 character-sum sweep took about 19 s to 2 * 10^5 and 66 s
     # to 4 * 10^5 on the box that set the costs

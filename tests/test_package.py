@@ -4,6 +4,7 @@ traces by name, and the README library example."""
 import ast
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import os
@@ -182,6 +183,66 @@ def test_only_errors_names_logging():
         for node in ast.walk(ast.parse(path.read_text())):
             name = _identifier(node) or ""
             assert name.partition(".")[0] != "logging", (path.name, node.lineno)
+
+
+def _constant_value(node):
+    """The value of a constant expression such as 2 * 2 ** 30, else None."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.BinOp):
+        left, right = _constant_value(node.left), _constant_value(node.right)
+        if isinstance(left, int) and isinstance(right, int):
+            ops = {ast.Mult: int.__mul__, ast.Pow: int.__pow__,
+                   ast.Add: int.__add__, ast.LShift: int.__lshift__}
+            op = ops.get(type(node.op))
+            return op(left, right) if op else None
+    return None
+
+
+def test_only_errors_states_the_work_budget():
+    # every refusal of an estimated time or memory goes through
+    # errors.refuse_above_cap: no other module words one ("above the cap of
+    # N s", "MiB"), or binds a module constant to 60 s or 2 GiB; size caps
+    # such as THUE_ZONE_CAP are not budgets
+    budget = {60, 60 * 10 ** 9, 2 * 2 ** 30}
+    for path in sorted((ROOT / "src" / "diotuple").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant)
+                               else "{}" for part in node.values)
+            elif isinstance(node, ast.Constant):
+                text = node.value if isinstance(node.value, str) else ""
+            else:
+                continue
+            assert "above the cap of {} s" not in text and "MiB" not in text, \
+                (path.name, node.lineno)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                assert _constant_value(node.value) not in budget, \
+                    (path.name, node.lineno)
+
+
+def test_code_line_counter_totals_its_modules():
+    path = ROOT / "tools" / "code_lines.py"
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    *modules, (label, total) = lines
+    assert label == "total"
+    assert [name for name, _ in modules] == sorted(
+        p.stem for p in (ROOT / "src" / "diotuple").glob("*.py"))
+    assert int(total) == sum(int(count) for _, count in modules) > 1000
+    # docstrings, comments and blank lines are not code
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.code_lines(
+        '"""Doc\nstring."""\n\n# note\nx = (1,\n     2)  # tail\n'
+        'def f():\n    """Doc."""\n    return """a\nb"""\n') == 5
 
 
 def _package_imports(tree) -> set[str]:

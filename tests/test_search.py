@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sympy import primerange
 from sympy.ntheory.residue_ntheory import nthroot_mod
 
-from diotuple import search
+from diotuple import errors, search
 from diotuple.core import BipartitePair, TupleConfig, verify_bipartite
 from diotuple.errors import InputError, InvariantViolation
 from diotuple.exact import is_perfect_kth_power, primes_up_to
@@ -585,8 +585,8 @@ def test_search_cost_admits_the_known_inputs():
                     (4, 1, 10 ** 7), (2, -10 ** 10 // 2, 10 ** 5),
                     (2, -10 ** 5, 10 ** 5)):
         ns, size = search._search_cost(k, n, N)
-        assert ns <= search.SEARCH_SECONDS_CAP * 10 ** 9, (k, n, N)
-        assert size <= search.SEARCH_BYTES_CAP, (k, n, N)
+        assert ns <= errors.SECONDS_CAP * 10 ** 9, (k, n, N)
+        assert size <= errors.BYTES_CAP, (k, n, N)
 
 
 def test_bench_search_inputs_are_admitted():
@@ -602,8 +602,8 @@ def test_bench_search_inputs_are_admitted():
         flags = dict(zip(argv[1::2], argv[2::2]))
         k, n, N = int(flags["--k"]), int(flags["--n"]), int(flags["--N"])
         ns, size = search._search_cost(k, n, N)
-        assert ns <= search.SEARCH_SECONDS_CAP * 10 ** 9, argv
-        assert size <= search.SEARCH_BYTES_CAP, argv
+        assert ns <= errors.SECONDS_CAP * 10 ** 9, argv
+        assert size <= errors.BYTES_CAP, argv
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
