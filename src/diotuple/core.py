@@ -25,6 +25,7 @@ class TupleConfig:
     n: int
 
     def __post_init__(self):
+        _check_integers(k=self.k, n=self.n)
         if self.k < 2:
             raise InputError(f"power degree must be >= 2, got {self.k}")
         if self.n == 0:
@@ -46,12 +47,26 @@ class VerifyReport:
     notes: tuple[str, ...] = ()
 
 
-def _check_elements(elements: Sequence[int], what: str) -> tuple[int, ...]:
+def _is_integer(value) -> bool:
+    # the one integer rule of the library's entry points: an int, not a
+    # bool (exact.parse_rational reads L by the same rule)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(**values) -> None:
+    """Raise InputError naming the first value that is not an integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_elements(elements: Sequence[int], what: str,
+                    increasing: bool = True) -> tuple[int, ...]:
     elems = tuple(elements)
     for e in elems:
-        if not isinstance(e, int) or e < 1:
+        if not _is_integer(e) or e < 1:
             raise InputError(f"{what} must contain positive integers, got {e!r}")
-    if any(x >= y for x, y in zip(elems, elems[1:])):
+    if increasing and any(x >= y for x, y in zip(elems, elems[1:])):
         raise InputError(f"{what} must be strictly increasing: {elems}")
     return elems
 

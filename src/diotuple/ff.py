@@ -48,7 +48,8 @@ def _generates(g: int, p: int, factors: list[tuple[int, int]]) -> bool:
     return all(pow(g, (p - 1) // q, p) != 1 for q, _ in factors)
 
 
-@lru_cache(maxsize=None)
+# scans of one field reuse its root; a --max-p sweep meets each prime once
+@lru_cache(maxsize=256)
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
     if not is_prime(p):

@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from heapq import merge
 from itertools import islice
 
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
-                   gap_lower_bound)
+                   _check_elements, _check_integers, gap_lower_bound)
+from . import errors
 from .errors import InputError, InvariantViolation, refuse_above_cap
 from .exact import factor, integer_kth_root, primes_up_to
 
@@ -67,6 +67,9 @@ class SearchBudget:
     max_results: int = 10 ** 5
 
     def __post_init__(self):
+        _check_integers(height=self.height, min_size=self.min_size,
+                        min_partner=self.min_partner,
+                        max_results=self.max_results)
         if self.height < 1:
             raise InputError(f"height must be >= 1, got {self.height}")
         if self.min_size < 1 or self.min_partner < 1:
@@ -245,12 +248,6 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-# candidates_for asks for the same multipliers over and over (criterion 3
-# sweeps 100 of them 99 times each); the searches build their rows once
-_candidates_single = lru_cache(maxsize=1 << 15)(_row)
-
-
-@lru_cache(maxsize=1 << 15)
 def _row_charge(a: int, k: int, n: int, N: int) -> tuple[int, int]:
     """Estimated (nanoseconds, bytes) of _row(a, k, n, N): about
     2 * iroot(a*N + n, k) tests, each charged per 64-bit word of a*N + n
@@ -298,31 +295,51 @@ def _graph(k: int, n: int, N: int) -> dict[int, tuple[int, ...]]:
     return _power_side_table(k, n, N)
 
 
+# The rows candidates_for has built, keyed by (a, k, n, N): its queries
+# reuse a few hundred multipliers many times over (criterion 3 asks for
+# 100 of them 99 times each).  _stored_bytes is their _row_charge bytes,
+# kept within errors.BYTES_CAP.  The searches build their own rows and
+# leave it be.
+_rows: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+_stored_bytes = 0
+
+
 def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     """Exactly {b <= N : a*b + n is a positive k-th power for every a in A}.
 
-    Refused before any row is built when the rows' _row_charge passes
-    either cap.
+    Each multiplier's row is charged its _row_charge when it is built,
+    then kept; the query is refused before any row is built when the
+    charge of its new rows passes either cap.  The kept rows' charged
+    bytes stay within errors.BYTES_CAP: when the new rows would lift them
+    past it, every kept row is dropped first, and the query's rows are all
+    charged and built anew.
     """
-    elems = sorted(set(A))
+    global _stored_bytes
+    elems = sorted(set(_check_elements(A, "multipliers", increasing=False)))
     if not elems:
         raise InputError("need at least one multiplier")
-    if elems[0] < 1:
-        raise InputError(f"multipliers must be positive, got {elems[0]}")
+    _check_integers(height=N)
     if N < 1:
         raise InputError(f"height must be >= 1, got {N}")
     k, n = config.k, config.n
-    charges = [_row_charge(a, k, n, N) for a in elems]
-    refuse_above_cap(f"candidates at k={k}, n={n}, N={N}",
-                     sum(ns for ns, _ in charges),
-                     sum(size for _, size in charges), "; lower N")
-    rows = sorted([_candidates_single(a, k, n, N) for a in elems], key=len)
-    out = set(rows[0])
-    for row in rows[1:]:
-        out.intersection_update(row)
-        if not out:
-            break
-    return sorted(out)
+    keys = [(a, k, n, N) for a in elems]
+    rows = [_rows.get(key) for key in keys]
+    if None in rows:
+        new = [key for key, row in zip(keys, rows) if row is None]
+        ns, size = map(sum, zip(*[_row_charge(*key) for key in new]))
+        if _stored_bytes + size > errors.BYTES_CAP:
+            _rows.clear()
+            _stored_bytes = 0
+            new = keys
+            ns, size = map(sum, zip(*[_row_charge(*key) for key in keys]))
+        refuse_above_cap(f"candidates at k={k}, n={n}, N={N}", ns, size,
+                         "; lower N")
+        _stored_bytes += size
+        for key in new:
+            _rows[key] = _row(*key)
+        rows = [_rows[key] for key in keys]
+    rows.sort(key=len)
+    return sorted(set(rows[0]).intersection(*rows[1:]))
 
 
 def _gap_floor_check(chain: list[int], ext: list[int], config: TupleConfig):

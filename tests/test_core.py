@@ -31,6 +31,22 @@ def test_config_validation():
         TupleConfig(k=3, n=0)
 
 
+def test_config_and_elements_admit_integers_only():
+    # floats and bools are refused, as exact.parse_rational refuses them
+    # for L; True would otherwise read as 1
+    for k, n in ((3.0, 1), (3, 1.0), (3, True), ("3", 1), (3, None)):
+        with pytest.raises(InputError):
+            TupleConfig(k, n)
+    cfg = TupleConfig(k=3, n=1)
+    for elements in ([True, 7], [2.0, 13], [2, 13.0]):
+        with pytest.raises(InputError):
+            verify_tuple(elements, cfg)
+        with pytest.raises(InputError):
+            verify_bipartite(elements, [13], cfg)
+        with pytest.raises(InputError):
+            verify_bipartite([13], elements, cfg)
+
+
 def test_verify_tuple_positive():
     # 2*13+1 = 27 = 3^3
     rep = verify_tuple([2, 13], TupleConfig(k=3, n=1))

@@ -225,6 +225,68 @@ def test_only_errors_states_the_work_budget():
                     (path.name, node.lineno)
 
 
+_DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear"}
+
+
+def _written_in_functions(tree) -> set[str]:
+    """The names a function body writes into as a dict: name[...] = ...,
+    del name[...], or a call of one of _DICT_WRITES on name."""
+    out = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name)):
+                out.add(node.value.id)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _DICT_WRITES
+                  and isinstance(node.func.value, ast.Name)):
+                out.add(node.func.value.id)
+    return out
+
+
+def test_every_memo_is_bounded():
+    # each lru_cache names a finite maxsize, functools.cache (unbounded)
+    # is not used, and the only module-level dicts that functions fill are
+    # candidates_for's row store, bounded by errors.BYTES_CAP, and
+    # ff._class_omega, bounded by ff.CLASS_OMEGA_CAP
+    memos, caches = set(), 0
+    for path in sorted((ROOT / "src" / "diotuple").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func): node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                continue
+            name = _identifier(node)
+            assert name != "cache", (path.name, node.lineno)
+            if name == "lru_cache" and not isinstance(node, ast.alias):
+                # a bare @lru_cache would hide its size
+                call = calls.get(id(node))
+                size = call and ([kw.value for kw in call.keywords
+                                  if kw.arg == "maxsize"] or call.args[:1])
+                assert size and isinstance(_constant_value(size[0]), int), \
+                    (path.name, node.lineno)
+                caches += 1
+        dicts = set()
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            value = getattr(node, "value", None)
+            if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call)
+                    and _identifier(value.func) == "dict"):
+                dicts |= {t.id for t in targets if isinstance(t, ast.Name)}
+        memos |= {f"{path.stem}.{name}"
+                  for name in dicts & _written_in_functions(tree)}
+    assert caches
+    assert memos == {"search._rows", "ff._class_omega"}
+
+
 def test_code_line_counter_totals_its_modules():
     path = ROOT / "tools" / "code_lines.py"
     proc = subprocess.run([sys.executable, str(path)], capture_output=True,

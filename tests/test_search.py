@@ -1,5 +1,6 @@
 """Search engine: candidate enumeration, maximal tuples, bipartite pairs."""
 
+import functools
 import importlib.util
 import math
 import random
@@ -26,9 +27,8 @@ from diotuple.search import (
     search_bipartite,
     search_tuples,
 )
-from diotuple.search import (_candidates_single, _gap_floor_check,
-                             _power_side_table, _prime_roots,
-                             _residue_route)
+from diotuple.search import (_gap_floor_check, _power_side_table,
+                             _prime_roots, _residue_route, _row)
 
 
 # ---------------------------------------------------------------- reference
@@ -120,8 +120,9 @@ def reference_search_bipartite(config, budget):
     N, k, n = budget.height, config.k, config.n
     min_a, min_b = budget.min_size, budget.min_partner
 
-    def partners(v: int) -> set[int]:
-        return set(_candidates_single(v, k, n, N))
+    @functools.cache  # this search's own rows, dropped with it
+    def partners(v: int) -> frozenset[int]:
+        return frozenset(_row(v, k, n, N))
 
     def extend(side: list[int], partner: set[int], sink: list):
         viable = {}
@@ -217,6 +218,120 @@ def test_candidates_errors():
         candidates_for([1], cfg, 0)
 
 
+@pytest.fixture
+def empty_store(monkeypatch):
+    """candidates_for's row store, empty for this test and restored after."""
+    monkeypatch.setattr(search, "_rows", {})
+    monkeypatch.setattr(search, "_stored_bytes", 0)
+
+
+def _spy_rows(monkeypatch):
+    """Counters of the rows candidates_for builds and charges."""
+    built, charged = Counter(), Counter()
+    row, charge = search._row, search._row_charge
+
+    def counting_row(*key):
+        built[key] += 1
+        return row(*key)
+
+    def counting_charge(*key):
+        charged[key] += 1
+        return charge(*key)
+
+    monkeypatch.setattr(search, "_row", counting_row)
+    monkeypatch.setattr(search, "_row_charge", counting_charge)
+    return built, charged
+
+
+def _common_naive(A, k, n, N):
+    return sorted(set.intersection(*(set(_cands_naive(a, k, n, N))
+                                     for a in A)))
+
+
+def test_candidates_for_builds_and_charges_each_row_once(monkeypatch,
+                                                         empty_store):
+    built, charged = _spy_rows(monkeypatch)
+    cfg, N = TupleConfig(k=3, n=-1), 2000
+    assert candidates_for([3, 5], cfg, N) == _common_naive([3, 5], 3, -1, N)
+    first = Counter({(3, 3, -1, N): 1, (5, 3, -1, N): 1})
+    assert built == charged == first
+    # a repeated query, in any order or with repeats, builds and charges
+    # nothing; one more multiplier builds and charges its row alone
+    for A in ([3, 5], [5, 3], [5, 3, 5, 3]):
+        assert candidates_for(A, cfg, N) == _common_naive([3, 5], 3, -1, N)
+        assert built == charged == first
+    assert candidates_for([3, 5, 9], cfg, N) == \
+        _common_naive([3, 5, 9], 3, -1, N)
+    assert built == charged == first + Counter({(9, 3, -1, N): 1})
+    # the key is (a, k, n, N): another height or shift is another row
+    candidates_for([3], cfg, N - 1)
+    candidates_for([3], TupleConfig(k=3, n=1), N)
+    assert len(built) == len(charged) == 5
+    assert set(search._rows) == set(built)
+    assert search._stored_bytes == sum(search._row_charge(*key)[1]
+                                       for key in built)
+
+
+def test_candidates_store_stays_within_the_byte_cap(monkeypatch, empty_store):
+    # a cap that admits every query below, at most three rows of about
+    # 8 kB, but not the 60 rows they build: the store is emptied on the
+    # way, never holds more than the cap, and every answer stays exact
+    cap = 30_000
+    monkeypatch.setattr(errors, "BYTES_CAP", cap)
+    built, _ = _spy_rows(monkeypatch)
+    rng = random.Random(30)
+    queries = [(rng.sample(range(1, 41), rng.randint(1, 3)),
+                rng.choice([1, -1, 7])) for _ in range(150)]
+    drops = 0
+    for A, n in queries:
+        before = len(search._rows)
+        assert candidates_for(A, TupleConfig(k=3, n=n), 2000) == \
+            _common_naive(A, 3, n, 2000), (A, n)
+        drops += len(search._rows) < before
+        assert search._stored_bytes <= cap
+        assert search._stored_bytes == sum(search._row_charge(*key)[1]
+                                           for key in search._rows)
+        assert all((a, 3, n, 2000) in search._rows for a in A)
+    assert drops and sum(search._row_charge(*key)[1] for key in built) > cap
+
+
+def test_candidates_refusal_reads_the_same_with_kept_rows(monkeypatch,
+                                                          empty_store):
+    # an over-budget query names the whole query's charge and builds
+    # nothing: the first finds the row of 3 kept, the second does not (the
+    # new row's bytes alone pass the cap, so the first dropped every row)
+    cfg = TupleConfig(k=2, n=1)
+    candidates_for([3], cfg, 10 ** 9)
+    built, _ = _spy_rows(monkeypatch)
+    for A in ([3, 10 ** 9], [3, 10 ** 9]):
+        with pytest.raises(InputError) as info:
+            candidates_for(A, cfg, 10 ** 9)
+        assert str(info.value) == (
+            "candidates at k=2, n=1, N=1000000000 needs about 240 s and "
+            "190745 MiB, above the cap of 60 s and 2048 MiB; lower N")
+    assert not built
+
+
+def test_candidates_for_admits_integers_only(monkeypatch, empty_store):
+    # each refused before a row is charged or built
+    built, charged = _spy_rows(monkeypatch)
+    cfg = TupleConfig(k=3, n=1)
+    for A, N in (([2.0, 7], 100), (["2", 7], 100), ([True, 7], 100),
+                 ([2, 7], 100.0), ([2, 7], True), ([2, None], 100)):
+        with pytest.raises(InputError):
+            candidates_for(A, cfg, N)
+    assert not built and not charged and not search._rows
+
+
+def test_search_budget_admits_integers_only():
+    for kwargs in ({"height": 100.0}, {"height": True},
+                   {"height": 100, "min_size": 2.0},
+                   {"height": 100, "min_partner": True},
+                   {"height": 100, "max_results": "5"}):
+        with pytest.raises(InputError):
+            SearchBudget(**kwargs)
+
+
 def test_candidates_single_all_paths_vs_naive():
     # a within the power range (a == 1 among them, with the single residue
     # class mod 1), a beyond it up to the height, and a beyond the height;
@@ -233,7 +348,7 @@ def test_candidates_single_all_paths_vs_naive():
         (400, 3, -2, 400),
         (1_562_500, 3, 1, 200),  # far beyond the table
     ]:
-        got = list(_candidates_single(a, k, n, N))
+        got = list(_row(a, k, n, N))
         assert got == _cands_naive(a, k, n, N)
 
 
@@ -244,11 +359,8 @@ def test_candidates_single_at_the_height_builds_no_table(monkeypatch):
         raise AssertionError("table built")
 
     monkeypatch.setattr(search, "_power_side_table", no_table)
-    _candidates_single.cache_clear()
     for n in (-1, -3):
-        assert list(_candidates_single(5000, 2, n, 5000)) == \
-            _cands_naive(5000, 2, n, 5000)
-    _candidates_single.cache_clear()
+        assert list(_row(5000, 2, n, 5000)) == _cands_naive(5000, 2, n, 5000)
 
 
 def test_candidates_random_vs_naive():
@@ -258,7 +370,7 @@ def test_candidates_random_vs_naive():
         k = rng.randint(2, 5)
         n = rng.choice([1, -1, 2, -2, 5, -7, 24])
         N = rng.randint(1, 400)
-        assert list(_candidates_single(a, k, n, N)) == _cands_naive(a, k, n, N)
+        assert list(_row(a, k, n, N)) == _cands_naive(a, k, n, N)
 
 
 def test_candidates_power_side_table_vs_naive():
@@ -273,7 +385,7 @@ def test_candidates_power_side_table_vs_naive():
         for a in range(1, N + 1):
             if a * N + n >= 1 and a > _kth_root_floor(a * N + n, k):
                 table_path.add((a, k, n, N))
-                assert list(_candidates_single(a, k, n, N)) == \
+                assert list(_row(a, k, n, N)) == \
                     _cands_naive(a, k, n, N), (a, k, n, N)
     # once N exceeds |n|, k = 2 is above its power range only at a = N,
     # n < 0, and then the searches build no table
@@ -293,8 +405,8 @@ def test_power_side_table_skips_large_primes():
     assert factorizations(100, 9260) == set()
     assert factorizations(463, 9260) == {(20, 463), (463, 20)}
     assert _power_side_table(3, 1, 1) == {}
-    assert 463 not in _candidates_single(20, 3, 1, 100)
-    assert list(_candidates_single(20, 3, 1, 100)) == _cands_naive(20, 3, 1, 100)
+    assert 463 not in _row(20, 3, 1, 100)
+    assert list(_row(20, 3, 1, 100)) == _cands_naive(20, 3, 1, 100)
 
 
 def test_prime_roots_match_nthroot_mod():
@@ -425,7 +537,7 @@ def test_residue_rows_step_within_their_charge():
 @given(st.integers(1, 300), st.integers(2, 6),
        st.integers(-60, 60).filter(bool), st.integers(1, 300))
 def test_candidates_single_matches_definition(a, k, n, N):
-    assert list(_candidates_single(a, k, n, N)) == _cands_naive(a, k, n, N)
+    assert list(_row(a, k, n, N)) == _cands_naive(a, k, n, N)
 
 
 def test_candidates_anti_monotone():
@@ -444,7 +556,7 @@ def test_each_search_builds_every_row_once(monkeypatch):
     # at k >= 3 a search reads its graph from one table build and calls no
     # _row; at k = 2 with |n| < N it builds the row of every multiplier
     # once, straight from the row function, and no table; either way it
-    # leaves candidates_for's cache as it was
+    # leaves candidates_for's row store empty
     calls, builds = Counter(), Counter()
     row, table = search._row, search._power_side_table
 
@@ -458,7 +570,7 @@ def test_each_search_builds_every_row_once(monkeypatch):
 
     monkeypatch.setattr(search, "_row", counting_row)
     monkeypatch.setattr(search, "_power_side_table", counting_table)
-    _candidates_single.cache_clear()
+    monkeypatch.setattr(search, "_rows", {})
     for (k, n, N), rows, tables in (
             ((3, 1, 257), Counter(), Counter({(3, 1, 257): 1})),
             ((2, 1, 300), Counter({(a, 2, 1, 300): 1 for a in range(1, 301)}),
@@ -473,7 +585,7 @@ def test_each_search_builds_every_row_once(monkeypatch):
                        SearchBudget(height=N, min_partner=1)).results
             assert calls == rows, (k, n, N)
             assert builds == tables, (k, n, N)
-            assert _candidates_single.cache_info().currsize == 0
+            assert search._rows == {}
 
 
 def test_band_of_the_height_alone_builds_no_table(monkeypatch):
@@ -828,7 +940,7 @@ def test_search_bipartite_at_scale():
     assert pairs == sorted(set(pairs))
 
     def nbr(v):
-        return set(_candidates_single(v, 3, 1, N))
+        return set(_row(v, 3, 1, N))
 
     def enumerated_side_is_maximal(side, partner):
         # partner is all common candidates of side, and no other element
