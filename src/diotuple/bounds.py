@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, report_failure
-from .exact import integer_kth_root, is_perfect_kth_power, parse_rational
+from .exact import (_check_integers, integer_kth_root, is_perfect_kth_power,
+                    parse_rational)
 
 # thue_scan refuses a small-x zone wider than this (about 5 s of scanning)
 THUE_ZONE_CAP = 10 ** 6
@@ -38,6 +39,7 @@ def table_constants(k: int) -> TableConstants:
     r bounds large-element counts, s the same under a two-sided setup,
     t is the threshold-exponent ratio, u the sporadic-range count.
     """
+    _check_integers(k=k)
     if k < 3:
         raise InputError(f"constants tabulated for k >= 3, got {k}")
     r = {3: 9, 4: 6, 5: 5}.get(k, 4)
@@ -68,6 +70,7 @@ def evertse_constants(k: int) -> tuple[Fraction, Fraction]:
     beta_3 and beta_4 are the tabulated decimals; beta_k = k^2 is a valid
     working constant from k = 5 on.
     """
+    _check_integers(k=k)
     if k < 3:
         raise InputError(f"Thue constants defined for k >= 3, got {k}")
     if k == 3:
@@ -85,6 +88,7 @@ def evertse_constants(k: int) -> tuple[Fraction, Fraction]:
 
 
 def _range_endpoints(k: int) -> tuple[Fraction, Fraction]:
+    _check_integers(k=k)
     if k < 3:
         raise InputError(f"parameter range defined for k >= 3, got {k}")
     return Fraction(k, 2 * k - 4), Fraction(k, k - 2)
@@ -112,6 +116,7 @@ def tail_term(k: int, L) -> float:
 
 
 def _check_bound_domain(n: int, k: int):
+    _check_integers(n=n, k=k)
     if n == 0:
         raise InputError("shift n must be nonzero")
     if k < 3:
@@ -144,6 +149,7 @@ def tuple_size_bound(n: int, k: int, L) -> float:
     The radicand is provably nonnegative on the admissible range (it hits
     zero only at n = -1).
     """
+    _check_integers(n=n)
     if n == 0:
         raise InputError("shift n must be nonzero")
     tail = tail_term(k, L)  # validates k and L
@@ -325,6 +331,7 @@ def thue_scan(a: int, b: int, k: int, c: int, X: int) -> ThueScanReport:
     beta_k * c^alpha_k (compared exactly); at most one primitive solution
     may sit above it.
     """
+    _check_integers(a=a, b=b, k=k, c=c, X=X)
     if a < 1 or b < 1:
         raise InputError("coefficients must be positive")
     if c < 0:

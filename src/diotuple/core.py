@@ -14,7 +14,8 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import HypothesisError, InputError, report_failure
-from .exact import compare_value_to_power, is_perfect_kth_power, parse_rational
+from .exact import (_check_integers, _is_integer, compare_value_to_power,
+                    is_perfect_kth_power, parse_rational)
 
 
 @dataclass(frozen=True)
@@ -45,19 +46,6 @@ class VerifyReport:
     ok: bool
     failures: tuple[tuple[int, int, int], ...]  # (a, b, a*b + n)
     notes: tuple[str, ...] = ()
-
-
-def _is_integer(value) -> bool:
-    # the one integer rule of the library's entry points: an int, not a
-    # bool (exact.parse_rational reads L by the same rule)
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_integers(**values) -> None:
-    """Raise InputError naming the first value that is not an integer."""
-    for name, value in values.items():
-        if not _is_integer(value):
-            raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_elements(elements: Sequence[int], what: str,
@@ -177,6 +165,7 @@ def gap_lower_bound(a: int, c: int, config: TupleConfig) -> Fraction:
     b*d >= k^k (ac)^(k-1) / (4^(k-1) |n|^k) when n < 0.  The positive-shift
     branch is strictly sharper; we return the branch-correct constant.
     """
+    _check_integers(a=a, c=c)
     if a < 1 or c < 1:
         raise InputError("gap bound needs positive a, c")
     k, n = config.k, config.n
@@ -210,6 +199,7 @@ def check_gap_quadruple(a: int, b: int, c: int, d: int,
     inequality b*d >= bound held.  A certificate with holds=False means an
     implementation bug somewhere, never a fact about the numbers.
     """
+    _check_integers(a=a, b=b, c=c, d=d)
     if not (0 < a < b):
         raise InputError(f"need 0 < a < b, got a={a}, b={b}")
     if not (0 < c < d):
@@ -234,6 +224,7 @@ def growth_exponents(k: int, L) -> tuple[float | None, float | None]:
 
     Both exceed 1 wherever defined.  Range ends are compared exactly.
     """
+    _check_integers(k=k)
     if k < 3:
         raise InputError(f"growth exponents need k >= 3, got {k}")
     Lf = parse_rational(L)
@@ -270,6 +261,7 @@ def check_superexponential_growth(a1: int, a2: int, B: Sequence[int],
     is checked as the chain b_{i+1} >= b_i^theta, link by link, with exact
     fallback on near-ties.
     """
+    _check_integers(a1=a1, a2=a2)
     k, n = config.k, config.n
     if k < 3:
         raise HypothesisError(f"growth chain needs k >= 3, got {k}")

@@ -33,6 +33,27 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _ROOT_SPLIT_BITS = 1024
 
 
+def _is_integer(value) -> bool:
+    # the one integer rule of the library's entry points: an int, not a bool
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(**values) -> None:
+    """Raise InputError naming the first value that is not an integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _integer_items(values, what: str) -> list:
+    """The values as a list, after checking each one by the integer rule."""
+    items = list(values)
+    for value in items:
+        if not _is_integer(value):
+            raise InputError(f"{what} must be integers, got {value!r}")
+    return items
+
+
 def integer_kth_root(m: int, k: int) -> int:
     """floor(m ** (1/k)) for m >= 0, k >= 2, in exact integer arithmetic."""
     if k < 2:
@@ -114,7 +135,7 @@ def parse_rational(value) -> Fraction:
     """An exact rational from an int, a Fraction, or a 'p' or 'p/q' string;
     floats, bools and anything else are refused."""
     from fractions import Fraction
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if _is_integer(value) or isinstance(value, Fraction):
         return Fraction(value)
     s = value.strip() if isinstance(value, str) else ""
     if not _RATIONAL_RE.match(s):

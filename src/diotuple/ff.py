@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import (InputError, InvariantViolation, refuse_above_cap,
                      report_failure)
-from .exact import factor, is_prime
+from .exact import _check_integers, _integer_items, factor, is_prime
 
 CHAR_SUM_CAP = 10 ** 6
 # What one char_sum costs, in nanoseconds, measured on a 2-core AMD EPYC box
@@ -52,6 +52,7 @@ def _generates(g: int, p: int, factors: list[tuple[int, int]]) -> bool:
 @lru_cache(maxsize=256)
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group mod p."""
+    _check_integers(p=p)
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     factors = factor(p - 1)
@@ -72,6 +73,7 @@ class FieldConfig(_Field):
     __slots__ = ()
 
     def __new__(cls, p: int, k: int, lam: int = 1, g: int = 0):
+        _check_integers(p=p, k=k, lam=lam, g=g)
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         if k < 2 or (p - 1) % k != 0:
@@ -150,6 +152,7 @@ def _refuse_bipartite_work(p: int, max_side: int, shifts: int = 1):
     partner rows.  A sweep of it over this many shifts is refused when its
     time, at _BIPARTITE_UNIT_NS a unit, or one scan's p^2 / 8 bytes of
     partner rows pass the work budget of errors."""
+    _check_integers(max_side=max_side)
     if not 2 <= max_side <= BIPARTITE_SIDE_CAP:
         raise InputError(f"side cap must be in [2, {BIPARTITE_SIDE_CAP}]")
     work = p ** (max_side - 1) + p * p // 128
@@ -557,7 +560,7 @@ def char_sum(A: Iterable[int], B: Iterable[int],
     the pass is one exponentiation per distinct sum.
     """
     p, k = config.p, config.k
-    sa, sb = set(A), set(B)
+    sa, sb = set(_integer_items(A, "A")), set(_integer_items(B, "B"))
     for side in (sa, sb):
         for x in side:
             if not 0 <= x <= p - 1:

@@ -15,7 +15,10 @@ gap-principle floor cross-checks every deep extension.  Bipartite search
 enumerates closed partner sets: by the symmetry of a*b + n = x^k, every
 A-side-maximal pair (A, B) has B an intersection of neighborhoods and A
 the common neighborhood of B, so the pairs are read off the closed sets
-without growing A one element at a time.
+without growing A one element at a time.  One pass over a B side's rows
+counts, for each a' they hold, how many hold it: A is what every row
+holds, and only an a' held by enough of them, but not all, is intersected
+with B for a smaller closed side.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from heapq import merge
 from itertools import islice
 
 from .core import (BipartitePair, DiophantineTuple, TupleConfig,
-                   _check_elements, _check_integers, gap_lower_bound)
+                   _check_elements, gap_lower_bound)
 from . import errors
 from .errors import InputError, InvariantViolation, refuse_above_cap
-from .exact import factor, integer_kth_root, primes_up_to
+from .exact import _check_integers, factor, integer_kth_root, primes_up_to
 
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4
@@ -228,7 +231,6 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
     if limit < 1:
         return ()
     xmax = integer_kth_root(limit, k)
-    out = []
     if a > xmax:
         # fewer powers than residue classes
         target = n % a
@@ -239,13 +241,9 @@ def _row(a: int, k: int, n: int, N: int) -> tuple[int, ...]:
             start = r if r >= 1 else a
             xs.extend(range(start, xmax + 1, a))
         xs.sort()
-    for x in xs:
-        v = x ** k - n
-        if v >= a and v % a == 0:
-            b = v // a
-            if b <= N:
-                out.append(b)
-    return tuple(sorted(out))
+    # every x has x^k ≡ n (mod a) and x <= xmax, so a divides x^k - n and
+    # b <= N; b grows with x, so the row comes out sorted
+    return tuple(b for x in xs if (b := (x ** k - n) // a) >= 1)
 
 
 def _row_charge(a: int, k: int, n: int, N: int) -> tuple[int, int]:
@@ -454,10 +452,13 @@ def search_bipartite(config: TupleConfig, budget: SearchBudget) -> SearchOutcome
     deduplicated.  The relation a*b + n = x^k is symmetric, so b is in N(a)
     iff a is in N(b); an A that no a' can join is therefore closed,
     A = ∩_{b in B} N(b), and B is an intersection of neighborhoods.  The
-    search enumerates those closed B sides directly: a worklist seeded with
-    every N(a) of at least min_partner elements, each B side intersected
-    with N(a') for every a' reachable from it.  The cost is polynomial per
-    closed B side instead of exponential in the largest neighborhood.
+    search enumerates those closed B sides directly, from a worklist seeded
+    with every N(a) of at least min_partner elements.  One pass over the
+    rows N(b), b in B, counts each a' they hold; the count is |B ∩ N(a')|.
+    A is the set of a' counted |B| times, each a' counted at least
+    min_partner times but fewer than |B| gives the child side B ∩ N(a'),
+    and B is emitted exactly when it has no child.  The cost is polynomial
+    per closed B side instead of exponential in the largest neighborhood.
     """
     min_a, min_b = budget.min_size, budget.min_partner
 
@@ -470,18 +471,22 @@ def search_bipartite(config: TupleConfig, budget: SearchBudget) -> SearchOutcome
     found = set()
     while work:
         B = work.pop()
-        rows = [partners[b] for b in B]
-        A = frozenset.intersection(*rows)
-        maximal = True
-        for ap in frozenset.union(*rows) - A:
-            shrunk = B & partners[ap]
-            if len(shrunk) >= min_b:
-                maximal = False
-                if shrunk not in seen:
-                    seen.add(shrunk)
-                    work.add(shrunk)
-        if maximal and len(A) >= min_a:
-            # canonical orientation: the side that sorts first is A
-            found.add(tuple(sorted((tuple(sorted(A)), tuple(sorted(B))))))
+        # count[a'] = |B ∩ N(a')|: A is counted |B| times, and each a'
+        # keeping at least min_b of B, but not all, gives a child side
+        count = {}
+        for b in B:
+            for a in partners[b]:
+                count[a] = count.get(a, 0) + 1
+        size = len(B)
+        children = {B & partners[a] for a, c in count.items()
+                    if min_b <= c < size}
+        if children:
+            work |= children - seen
+            seen |= children
+        else:
+            A = [a for a, c in count.items() if c == size]
+            if len(A) >= min_a:
+                # canonical orientation: the side that sorts first is A
+                found.add(tuple(sorted((tuple(sorted(A)), tuple(sorted(B))))))
     return _outcome(found, budget.max_results,
                     lambda AB: BipartitePair(config, *AB))

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .exact import (_cross_powering_fits, compare_value_to_power, factor,
-                    integer_kth_root, is_prime, parse_rational, primes_up_to,
-                    trial_factor)
+from .exact import (_check_integers, _cross_powering_fits, _integer_items,
+                    compare_value_to_power, factor, integer_kth_root,
+                    is_prime, parse_rational, primes_up_to, trial_factor)
 
 # sieve_pipeline refuses a prime window Q above this (about 1.6 s and 72 MB
 # of sieving at Q near 10^7)
@@ -28,6 +28,7 @@ AUDIT_TRIALS_CAP = 7 * 10 ** 5
 
 def euler_phi(k: int) -> int:
     """Euler's totient of 1 <= k < 2**64, from exact.factor."""
+    _check_integers(k=k)
     if k < 1:
         raise InputError(f"totient argument must be >= 1, got {k}")
     phi = 1
@@ -37,7 +38,9 @@ def euler_phi(k: int) -> int:
 
 
 def primes_in_class(Q: float, k: int, n: int) -> list[int]:
-    """Primes p <= floor(Q) with p = 1 (mod k) and p not dividing n."""
+    """Primes p <= floor(Q) with p = 1 (mod k) and p not dividing n; Q
+    is any real number."""
+    _check_integers(k=k, n=n)
     if n == 0:
         raise InputError("shift n must be nonzero")
     if k < 2:
@@ -59,8 +62,9 @@ class SieveEvaluation:
 
 
 def _sieved_set(A: Iterable[int], N: int) -> list[int]:
-    """The distinct elements of A, sorted, after checking they lie in [1, N]."""
-    elems = sorted(set(A))
+    """The distinct elements of A, sorted, after checking they are
+    integers in [1, N]."""
+    elems = sorted(set(_integer_items(A, "elements")))
     if not elems:
         raise InputError("the sieved set must be nonempty")
     if elems[0] < 1 or elems[-1] > N:
@@ -70,8 +74,9 @@ def _sieved_set(A: Iterable[int], N: int) -> list[int]:
 
 def gallagher_bound(A: Iterable[int], N: int, P: Iterable[int]) -> SieveEvaluation:
     """Evaluate the larger-sieve estimate for A inside [1, N] over primes P."""
+    _check_integers(N=N)
     elems = _sieved_set(A, N)
-    primes = sorted(set(P))
+    primes = sorted(set(_integer_items(P, "sieving primes")))
     if not primes:
         raise InputError("need at least one sieving prime")
     for p in primes:
@@ -144,6 +149,7 @@ def sieve_pipeline(A: Sequence[int], n: int, k: int, L) -> PipelineResult:
     InputError before any sieving.  Diagnostics expose the log-weight sums
     against their asymptotic comparators.
     """
+    _check_integers(n=n, k=k)
     if abs(n) < 2:
         raise InputError("pipeline needs |n| >= 2")
     if k < 2:

@@ -1,5 +1,6 @@
 """The package surface: lazy top-level exports, the functions the benchmark
-traces by name, and the README library example."""
+traces by name, the README library example, and the one integer rule of the
+entry points."""
 
 import ast
 import contextlib
@@ -334,3 +335,77 @@ def test_prime_arithmetic_lives_in_exact():
             if any(isinstance(node, ast.FunctionDef)
                    and node.name == "primes_up_to"
                    for node in ast.walk(tree))] == ["exact"]
+
+
+def test_only_exact_states_the_integer_rule():
+    # an int, not a bool: exact._is_integer states it once, and the other
+    # computing layers read integers through it (cli's serializers, which
+    # print bools, are not a computing layer)
+    source = ROOT / "src" / "diotuple"
+
+    def bool_tests(layer):
+        tree = ast.parse((source / f"{layer}.py").read_text())
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and _identifier(node.func) == "isinstance"
+                and len(node.args) == 2
+                and "bool" in {_identifier(arg) for arg in (
+                    node.args[1].elts if isinstance(node.args[1], ast.Tuple)
+                    else [node.args[1]])}]
+
+    for layer in ("bounds", "core", "ff", "search", "sieve"):
+        assert bool_tests(layer) == [], layer
+    assert len(bool_tests("exact")) == 1
+
+
+_CUBES = diotuple.TupleConfig(3, -1)
+_F7 = diotuple.FieldConfig(7, 3)
+# each entry point of the computing layers with arguments it admits, and
+# where its integers sit: a position, or (position, index) in a list;
+# TupleConfig, SearchBudget, candidates_for and the tuple and bipartite
+# sides have their own tests in test_core and test_search
+_INTEGER_PARAMETERS = [
+    ("gap_lower_bound", (2, 9, _CUBES), [0, 1]),
+    ("check_gap_quadruple", (1, 14, 2, 9, _CUBES), [0, 1, 2, 3]),
+    ("growth_exponents", (3, 5), [0]),
+    ("check_superexponential_growth",
+     (5, 13, [819], diotuple.TupleConfig(3, 1), 4), [0, 1]),
+    ("table_constants", (3,), [0]),
+    ("evertse_constants", (3,), [0]),
+    ("large_element_exponents", (3,), [0]),
+    ("tail_term", (3, 2), [0]),
+    ("bipartite_side_bound", (1, 3), [0, 1]),
+    ("tuple_size_bound", (1, 3, 2), [0, 1]),
+    ("tuple_size_bound_closed", (2, 3), [0, 1]),
+    ("tuple_size_small_regime", (2, 3), [0, 1]),
+    ("bound_reports", (2, 3), [0, 1]),
+    ("thue_scan", (1, 6, 3, 5, 10 ** 4), [0, 1, 2, 3, 4]),
+    ("primitive_root", (3,), [0]),
+    ("FieldConfig", (7, 3, 1, 3), [0, 1, 2, 3]),
+    ("ff_scan_bipartite", (_F7, 2), [1]),
+    ("char_sum", ([1, 2], [3], _F7), [(0, 0), (1, 0)]),
+    ("euler_phi", (12,), [0]),
+    ("primes_in_class", (100, 3, 5), [1, 2]),
+    ("gallagher_bound", ([1, 2], 100, [3]), [(0, 0), 1, (2, 0)]),
+    ("sieve_pipeline", ([1, 2], 5, 3, 2), [(0, 0), 1, 2]),
+]
+
+
+@pytest.mark.parametrize("name, args, slot, bad", [
+    pytest.param(name, args, slot, bad, id=f"{name}-{slot}-{bad!r}")
+    for name, args, slots in _INTEGER_PARAMETERS
+    for slot in slots for bad in (True, 3.0)])
+def test_entry_points_refuse_bools_and_floats(name, args, slot, bad):
+    # True would read as 1 and 3.0 as 3; each is refused by the integer
+    # rule before any work, where the same arguments with ints are admitted
+    # (primitive_root(3) is cached first, and 3.0 must not read its entry)
+    func = getattr(diotuple, name)
+    func(*args)
+    args = [list(arg) if isinstance(arg, list) else arg for arg in args]
+    if isinstance(slot, tuple):
+        args[slot[0]][slot[1]] = bad
+    else:
+        args[slot] = bad
+    with pytest.raises(diotuple.InputError,
+                       match=r"must be (an integer|integers)"):
+        func(*args)

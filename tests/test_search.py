@@ -926,29 +926,40 @@ def test_search_bipartite_matches_reference(k, n, N, min_a, min_b, cap):
         reference_search_bipartite(cfg, budget)
 
 
-def test_search_bipartite_at_scale():
+@pytest.mark.parametrize("k, n, N, min_a, min_b, count", [
     # far beyond the reach of the depth-first growth (N = 20000 did not
     # finish in minutes); the closed-set route takes about 0.1 s
-    N, min_a, min_b = 20000, 2, 1
-    cfg = TupleConfig(k=3, n=1)
+    pytest.param(3, 1, 20000, 2, 1, 650, id="k3-n1-N20000"),
+    # the dense k = 2 walk: tuples-dense's bipartite inputs, and every
+    # side of one element admitted
+    pytest.param(2, 1, 600, 2, 2, 1120, id="k2-n1-N600"),
+    pytest.param(2, 4, 600, 2, 2, 1058, id="k2-n4-N600"),
+    pytest.param(2, 1, 300, 1, 1, 300, id="k2-n1-N300-floors1"),
+])
+def test_search_bipartite_at_scale(k, n, N, min_a, min_b, count):
+    cfg = TupleConfig(k=k, n=n)
     start = time.perf_counter()
     out = search_bipartite(cfg, SearchBudget(height=N, min_size=min_a,
                                              min_partner=min_b))
     elapsed = time.perf_counter() - start
     pairs = _pairs(out)
-    assert not out.truncated and len(pairs) > 600
+    assert not out.truncated and len(pairs) == count
     assert pairs == sorted(set(pairs))
 
+    # closedness is checked by union and intersection over the rows, not
+    # by the walk's occurrence count
+    @functools.cache
     def nbr(v):
-        return set(_row(v, 3, 1, N))
+        return frozenset(_row(v, k, n, N))
 
     def enumerated_side_is_maximal(side, partner):
         # partner is all common candidates of side, and no other element
         # (every one with a candidate in partner is a candidate of some
         # element of partner) keeps min_b of them
-        if len(side) < min_a or set.intersection(*map(nbr, side)) != set(partner):
+        if len(side) < min_a or frozenset.intersection(
+                *map(nbr, side)) != set(partner):
             return False
-        others = set().union(*map(nbr, partner)) - set(side)
+        others = frozenset().union(*map(nbr, partner)) - set(side)
         return all(len(nbr(v) & set(partner)) < min_b for v in others)
 
     for A, B in pairs:
