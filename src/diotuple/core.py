@@ -14,7 +14,7 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import HypothesisError, InputError, report_failure
-from .exact import (_check_integers, _is_integer, compare_value_to_power,
+from .exact import (_check_integers, _integer_items, compare_value_to_power,
                     is_perfect_kth_power, parse_rational)
 
 
@@ -48,13 +48,12 @@ class VerifyReport:
     notes: tuple[str, ...] = ()
 
 
-def _check_elements(elements: Sequence[int], what: str,
-                    increasing: bool = True) -> tuple[int, ...]:
-    elems = tuple(elements)
+def _check_elements(elements: Sequence[int], what: str) -> tuple[int, ...]:
+    elems = tuple(_integer_items(elements, what))
     for e in elems:
-        if not _is_integer(e) or e < 1:
+        if e < 1:
             raise InputError(f"{what} must contain positive integers, got {e!r}")
-    if increasing and any(x >= y for x, y in zip(elems, elems[1:])):
+    if any(x >= y for x, y in zip(elems, elems[1:])):
         raise InputError(f"{what} must be strictly increasing: {elems}")
     return elems
 
@@ -97,8 +96,7 @@ def verify_bipartite(A: Sequence[int], B: Sequence[int],
     Shared elements are allowed; when a == b is tested the report notes it
     (the square product is a real constraint, not an error).
     """
-    ea = _check_elements(A, "A")
-    eb = _check_elements(B, "B")
+    ea, eb = _check_elements(A, "A"), _check_elements(B, "B")
     failures = _failing_products(product(ea, eb), config)
     notes = _config_notes(config)
     shared = sorted(set(ea) & set(eb))
@@ -138,14 +136,14 @@ class BipartitePair:
     B: tuple[int, ...]
 
     def __post_init__(self):
-        a, b = tuple(self.A), tuple(self.B)
+        a, b = _check_elements(self.A, "A"), _check_elements(self.B, "B")
         if not a or not b:
             raise InputError("both sides must be nonempty")
-        if (min(b), b) < (min(a), a):
+        if b < a:  # the sides increase, so this compares min(b), min(a) first
             a, b = b, a
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
-        report = verify_bipartite(self.A, self.B, self.config)
+        report = verify_bipartite(a, b, self.config)
         if not report.ok:
             x, y, v = report.failures[0]
             raise InputError(
@@ -284,10 +282,8 @@ def check_superexponential_growth(a1: int, a2: int, B: Sequence[int],
     if compare_value_to_power(b1, abs(n), Lf) < 0:
         raise HypothesisError(f"b_1 = {b1} < |n|^L")
     _require_powers(product((a1, a2), elems), config)
-    failures = []
-    for i in range(len(elems) - 1):
-        if compare_value_to_power(elems[i + 1], elems[i], theta) < 0:
-            failures.append((i + 1, elems[i], elems[i + 1]))
+    failures = [(i, x, y) for i, (x, y) in enumerate(zip(elems, elems[1:]), 1)
+                if compare_value_to_power(y, x, theta) < 0]
     if failures:
         report_failure(
             __name__,

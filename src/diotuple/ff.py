@@ -87,6 +87,11 @@ class FieldConfig(_Field):
             raise InputError(f"{g} does not generate the group mod {p}")
         return super().__new__(cls, p, k, lam, g)
 
+    @classmethod
+    def _make(cls, iterable):
+        # NamedTuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
+
     @property
     def class_size(self) -> int:
         return (self.p - 1) // self.k

@@ -29,11 +29,11 @@ from fractions import Fraction
 from heapq import merge
 from itertools import islice
 
-from .core import (BipartitePair, DiophantineTuple, TupleConfig,
-                   _check_elements, gap_lower_bound)
+from .core import BipartitePair, DiophantineTuple, TupleConfig, gap_lower_bound
 from . import errors
 from .errors import InputError, InvariantViolation, refuse_above_cap
-from .exact import _check_integers, factor, integer_kth_root, primes_up_to
+from .exact import (_check_integers, _integer_items, factor, integer_kth_root,
+                    primes_up_to)
 
 # the quadratic reference search refuses heights beyond this
 ORACLE_CAP = 10 ** 4
@@ -313,12 +313,13 @@ def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     charged and built anew.
     """
     global _stored_bytes
-    elems = sorted(set(_check_elements(A, "multipliers", increasing=False)))
+    elems = sorted(set(_integer_items(A, "multipliers")))
     if not elems:
         raise InputError("need at least one multiplier")
-    _check_integers(height=N)
-    if N < 1:
-        raise InputError(f"height must be >= 1, got {N}")
+    if elems[0] < 1:
+        raise InputError(
+            f"multipliers must contain positive integers, got {elems[0]!r}")
+    SearchBudget(N)  # N is read as a search's height
     k, n = config.k, config.n
     keys = [(a, k, n, N) for a in elems]
     rows = [_rows.get(key) for key in keys]

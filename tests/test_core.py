@@ -64,12 +64,14 @@ def test_verify_tuple_negative():
 
 def test_verify_tuple_input_checks():
     cfg = TupleConfig(k=3, n=1)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="strictly increasing"):
         verify_tuple([13, 2], cfg)  # not increasing
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="strictly increasing"):
         verify_tuple([2, 2], cfg)  # not strict
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="must contain positive integers"):
         verify_tuple([0, 2], cfg)
+    with pytest.raises(InputError, match="must contain positive integers"):
+        verify_tuple([-1, 2], cfg)
     with pytest.raises(InputError):
         verify_tuple([2, "13"], cfg)
 
@@ -116,6 +118,18 @@ def test_bipartite_pair_orientation():
         BipartitePair(cfg, A=(), B=(2,))
     with pytest.raises(InputError):
         BipartitePair(cfg, A=(2,), B=(14,))
+
+
+def test_bipartite_pair_checks_sides_before_orienting_them():
+    # orientation compares the sides, so each is read by the integer rule
+    # and checked increasing first, and a refusal names the caller's side
+    cfg = TupleConfig(k=3, n=1)
+    for A, B, message in ((["2"], [13], "A must be integers"),
+                          ([13], [None], "B must be integers"),
+                          ([13], [5, 2], "B must be strictly increasing"),
+                          ([0], [13], "A must contain positive integers")):
+        with pytest.raises(InputError, match=message):
+            BipartitePair(cfg, A, B)
 
 
 def test_bipartite_pair_tie_orientation():

@@ -1,6 +1,7 @@
 """Prime-field scans: power classes, bipartite size inequality, pairwise
 cliques, character sums."""
 
+import copy
 import dataclasses
 import itertools
 import logging
@@ -114,6 +115,27 @@ def test_field_config_validation():
         FieldConfig(13, 3, lam=13)
     with pytest.raises(InputError):
         FieldConfig(7, 3, g=4)  # 4^3 = 1 mod 7: not a generator
+
+
+def test_field_config_builders_run_the_constructor_checks():
+    # _make, and _replace through it, build as FieldConfig(...) does: each
+    # invalid field gets the constructor's refusal, and g = 0 is filled in
+    cfg = FieldConfig(7, 3)
+    for build, message in (
+            (lambda: cfg._replace(k=4), "degree must be >= 2 and divide p-1"),
+            (lambda: cfg._replace(lam=True), "lam must be an integer"),
+            (lambda: cfg._replace(lam=7), r"shift must be in \[1, p-1\]"),
+            (lambda: cfg._replace(k=4, lam=True), "lam must be an integer"),
+            (lambda: cfg._replace(g=4), "4 does not generate the group mod 7"),
+            (lambda: FieldConfig._make([7, 4, 1, 3]),
+             "degree must be >= 2 and divide p-1"),
+            (lambda: FieldConfig._make([10, 3, 1, 0]), "10 is not prime")):
+        with pytest.raises(InputError, match=message):
+            build()
+    assert cfg._replace(lam=2) == FieldConfig(7, 3, 2)
+    assert FieldConfig._make([7, 3, 1, 0]) == cfg
+    assert type(cfg._replace(lam=2)) is FieldConfig
+    assert copy.copy(cfg) == cfg == pickle.loads(pickle.dumps(cfg))
 
 
 def test_field_config_is_a_named_tuple():

@@ -360,16 +360,24 @@ def test_only_exact_states_the_integer_rule():
 
 _CUBES = diotuple.TupleConfig(3, -1)
 _F7 = diotuple.FieldConfig(7, 3)
+_CUBES_PLUS = diotuple.TupleConfig(3, 1)
 # each entry point of the computing layers with arguments it admits, and
-# where its integers sit: a position, or (position, index) in a list;
-# TupleConfig, SearchBudget, candidates_for and the tuple and bipartite
-# sides have their own tests in test_core and test_search
+# where its integers sit: a position, or (position, index) in a list; the
+# tuple sides, bipartite sides, growth chain and multipliers are read by
+# exact._integer_items like every other integer list (TupleConfig,
+# SearchBudget and candidates_for's height have their own tests in
+# test_core and test_search)
 _INTEGER_PARAMETERS = [
+    ("verify_tuple", ([2, 13], _CUBES_PLUS), [(0, 0), (0, 1)]),
+    ("verify_bipartite", ([2], [13], _CUBES_PLUS), [(0, 0), (1, 0)]),
+    ("DiophantineTuple", (_CUBES_PLUS, [2, 13]), [(1, 0), (1, 1)]),
+    ("BipartitePair", (_CUBES_PLUS, [2], [13]), [(1, 0), (2, 0)]),
+    ("candidates_for", ([1, 2], _CUBES_PLUS, 400), [(0, 0), (0, 1)]),
     ("gap_lower_bound", (2, 9, _CUBES), [0, 1]),
     ("check_gap_quadruple", (1, 14, 2, 9, _CUBES), [0, 1, 2, 3]),
     ("growth_exponents", (3, 5), [0]),
     ("check_superexponential_growth",
-     (5, 13, [819], diotuple.TupleConfig(3, 1), 4), [0, 1]),
+     (5, 13, [819], _CUBES_PLUS, 4), [0, 1, (2, 0)]),
     ("table_constants", (3,), [0]),
     ("evertse_constants", (3,), [0]),
     ("large_element_exponents", (3,), [0]),
