@@ -50,11 +50,10 @@ class VerifyReport:
 
 def _check_elements(elements: Sequence[int], what: str) -> tuple[int, ...]:
     elems = tuple(_integer_items(elements, what))
-    for e in elems:
-        if e < 1:
-            raise InputError(f"{what} must contain positive integers, got {e!r}")
     if any(x >= y for x, y in zip(elems, elems[1:])):
         raise InputError(f"{what} must be strictly increasing: {elems}")
+    if elems and elems[0] < 1:
+        raise InputError(f"{what} must contain positive integers, got {elems[0]!r}")
     return elems
 
 
@@ -96,7 +95,8 @@ def verify_bipartite(A: Sequence[int], B: Sequence[int],
     Shared elements are allowed; when a == b is tested the report notes it
     (the square product is a real constraint, not an error).
     """
-    ea, eb = _check_elements(A, "A"), _check_elements(B, "B")
+    ea = _check_elements(A, "A")
+    eb = _check_elements(B, "B")
     failures = _failing_products(product(ea, eb), config)
     notes = _config_notes(config)
     shared = sorted(set(ea) & set(eb))

@@ -317,9 +317,10 @@ def candidates_for(A, config: TupleConfig, N: int) -> list[int]:
     if not elems:
         raise InputError("need at least one multiplier")
     if elems[0] < 1:
-        raise InputError(
-            f"multipliers must contain positive integers, got {elems[0]!r}")
-    SearchBudget(N)  # N is read as a search's height
+        raise InputError(f"multipliers must contain positive integers, got {elems[0]!r}")
+    _check_integers(height=N)
+    if N < 1:
+        raise InputError(f"height must be >= 1, got {N}")
     k, n = config.k, config.n
     keys = [(a, k, n, N) for a in elems]
     rows = [_rows.get(key) for key in keys]
@@ -406,10 +407,9 @@ def brute_force_tuples(config: TupleConfig, N: int, min_size: int) -> SearchOutc
     precomputed power table instead of residue enumeration), so the two
     must agree exactly.  Refuses N beyond ORACLE_CAP.
     """
+    SearchBudget(N, min_size)  # read N and min_size as search_tuples does
     if N > ORACLE_CAP:
         raise InputError(f"reference search capped at N = {ORACLE_CAP}")
-    if N < 1 or min_size < 1:
-        raise InputError("need N >= 1 and min_size >= 1")
     k, n = config.k, config.n
     powers = set()
     x = 1

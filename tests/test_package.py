@@ -373,6 +373,7 @@ _INTEGER_PARAMETERS = [
     ("DiophantineTuple", (_CUBES_PLUS, [2, 13]), [(1, 0), (1, 1)]),
     ("BipartitePair", (_CUBES_PLUS, [2], [13]), [(1, 0), (2, 0)]),
     ("candidates_for", ([1, 2], _CUBES_PLUS, 400), [(0, 0), (0, 1)]),
+    ("brute_force_tuples", (_CUBES_PLUS, 30, 2), [1, 2]),
     ("gap_lower_bound", (2, 9, _CUBES), [0, 1]),
     ("check_gap_quadruple", (1, 14, 2, 9, _CUBES), [0, 1, 2, 3]),
     ("growth_exponents", (3, 5), [0]),
