@@ -24,6 +24,13 @@ THUE_ZONE_CAP = 10 ** 6
 THUE_DEGREE_CAP = 100
 
 
+def _check_degree(k: int):
+    # the one degree floor of the bounds: every one of them needs k >= 3
+    _check_integers(k=k)
+    if k < 3:
+        raise InputError(f"bound defined for k >= 3, got {k}")
+
+
 class TableConstants(NamedTuple):
     """Per-degree constants (r, s, t, u) for the element-count tables."""
 
@@ -39,9 +46,7 @@ def table_constants(k: int) -> TableConstants:
     r bounds large-element counts, s the same under a two-sided setup,
     t is the threshold-exponent ratio, u the sporadic-range count.
     """
-    _check_integers(k=k)
-    if k < 3:
-        raise InputError(f"constants tabulated for k >= 3, got {k}")
+    _check_degree(k)
     r = {3: 9, 4: 6, 5: 5}.get(k, 4)
     s = {3: 6, 4: 4, 5: 3}.get(k, 2)
     if k == 3:
@@ -70,9 +75,7 @@ def evertse_constants(k: int) -> tuple[Fraction, Fraction]:
     beta_3 and beta_4 are the tabulated decimals; beta_k = k^2 is a valid
     working constant from k = 5 on.
     """
-    _check_integers(k=k)
-    if k < 3:
-        raise InputError(f"Thue constants defined for k >= 3, got {k}")
+    _check_degree(k)
     if k == 3:
         alpha = Fraction(9)
     else:
@@ -87,13 +90,6 @@ def evertse_constants(k: int) -> tuple[Fraction, Fraction]:
     return alpha, beta
 
 
-def _range_endpoints(k: int) -> tuple[Fraction, Fraction]:
-    _check_integers(k=k)
-    if k < 3:
-        raise InputError(f"parameter range defined for k >= 3, got {k}")
-    return Fraction(k, 2 * k - 4), Fraction(k, k - 2)
-
-
 def tail_term(k: int, L) -> float:
     """The additive tail T(k, L) = 3(log 18 - log L)/(log(k-1) - log(3 + k/L - k)) + 12.
 
@@ -101,7 +97,8 @@ def tail_term(k: int, L) -> float:
     positive and T > 12.  Range ends are compared exactly.  L is an int, a
     Fraction or a 'p' or 'p/q' string (exact.parse_rational).
     """
-    lo, hi = _range_endpoints(k)
+    _check_degree(k)
+    lo, hi = Fraction(k, 2 * k - 4), Fraction(k, k - 2)
     Lf = parse_rational(L)
     if Lf <= lo:
         raise InputError(f"L must exceed k/(2k-4) = {lo}, got {L}")
@@ -119,8 +116,7 @@ def _check_bound_domain(n: int, k: int):
     _check_integers(n=n, k=k)
     if n == 0:
         raise InputError("shift n must be nonzero")
-    if k < 3:
-        raise InputError(f"bound defined for k >= 3, got {k}")
+    _check_degree(k)
 
 
 def bipartite_side_bound(n: int, k: int) -> Fraction | float:
@@ -149,10 +145,8 @@ def tuple_size_bound(n: int, k: int, L) -> float:
     The radicand is provably nonnegative on the admissible range (it hits
     zero only at n = -1).
     """
-    _check_integers(n=n)
-    if n == 0:
-        raise InputError("shift n must be nonzero")
-    tail = tail_term(k, L)  # validates k and L
+    _check_bound_domain(n, k)
+    tail = tail_term(k, L)  # validates L
     Lf = parse_rational(L)
     from mpmath import mp
     with mp.workprec(120):

@@ -337,7 +337,8 @@ def _cmd_char_sum(args) -> int:
         sides = [(p, max(1, min(args.interval or math.isqrt(p), p - 1)))
                  for p in primes_up_to(args.max_p)
                  if p >= 3 and (p - 1) % args.k == 0]
-        ff._refuse_char_sweep(args.k, [m for _, m in sides])
+        ff._refuse_char_sums(args.k, [(m, 2 * m) for _, m in sides],
+                             "; lower --max-p or --interval")
         rows = []
         for p, m in sides:
             config = ff.FieldConfig(p, args.k)

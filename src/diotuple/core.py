@@ -71,14 +71,19 @@ def _failing_products(pairs: Iterable[tuple[int, int]],
             if is_perfect_kth_power(v := x * y + n, k) is None]
 
 
+def _refuse_products(failures: Sequence[tuple[int, int, int]],
+                     config: TupleConfig, error=HypothesisError, prefix=""):
+    """Raise error at the first (x, y, x*y + n) of failures, if any."""
+    if failures:
+        x, y, v = failures[0]
+        raise error(f"{prefix}{x}*{y}+{config.n} = {v} "
+                    f"is not a positive {config.k}-th power")
+
+
 def _require_powers(pairs: Iterable[tuple[int, int]], config: TupleConfig):
     """Raise HypothesisError at the first pair whose shifted product is not
     a k-th power."""
-    failures = _failing_products(pairs, config)
-    if failures:
-        x, y, v = failures[0]
-        raise HypothesisError(
-            f"{x}*{y}+{config.n} = {v} is not a positive {config.k}-th power")
+    _refuse_products(_failing_products(pairs, config), config)
 
 
 def verify_tuple(elements: Sequence[int], config: TupleConfig) -> VerifyReport:
@@ -114,12 +119,9 @@ class DiophantineTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        report = verify_tuple(self.elements, self.config)
-        if not report.ok:
-            a, b, v = report.failures[0]
-            raise InputError(
-                f"not a D_{self.config.k}({self.config.n}) tuple: "
-                f"{a}*{b}+{self.config.n} = {v} is not a k-th power")
+        k, n = self.config.k, self.config.n
+        _refuse_products(verify_tuple(self.elements, self.config).failures,
+                         self.config, InputError, f"not a D_{k}({n}) tuple: ")
 
 
 @dataclass(frozen=True)
@@ -136,19 +138,19 @@ class BipartitePair:
     B: tuple[int, ...]
 
     def __post_init__(self):
-        a, b = _check_elements(self.A, "A"), _check_elements(self.B, "B")
+        # verify_bipartite reads and checks each side as the caller gave it,
+        # so a refusal names that side; the pair is oriented after
+        a, b = tuple(self.A), tuple(self.B)
+        report = verify_bipartite(a, b, self.config)
         if not a or not b:
             raise InputError("both sides must be nonempty")
+        k, n = self.config.k, self.config.n
+        _refuse_products(report.failures, self.config, InputError,
+                         f"not a BD_{k}({n}) pair: ")
         if b < a:  # the sides increase, so this compares min(b), min(a) first
             a, b = b, a
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
-        report = verify_bipartite(a, b, self.config)
-        if not report.ok:
-            x, y, v = report.failures[0]
-            raise InputError(
-                f"not a BD_{self.config.k}({self.config.n}) pair: "
-                f"{x}*{y}+{self.config.n} = {v} is not a k-th power")
 
     @property
     def has_two_per_side(self) -> bool:

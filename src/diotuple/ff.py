@@ -542,13 +542,6 @@ def _refuse_char_sums(k: int, sums: list[tuple[int, int]], advice: str = ""):
                      ns, size, advice)
 
 
-def _refuse_char_sweep(k: int, sides: list[int]):
-    """Refuse a sweep of char_sum at degree k over pairs of intervals of
-    these sizes before the first sum, as _refuse_char_sums does."""
-    _refuse_char_sums(k, [(m, 2 * m) for m in sides],
-                      "; lower --max-p or --interval")
-
-
 def char_sum(A: Iterable[int], B: Iterable[int],
              config: FieldConfig) -> CharacterSumResult:
     """Sum the order-k character over all pairwise sums a + b.

@@ -132,6 +132,37 @@ def test_bipartite_pair_checks_sides_before_orienting_them():
             BipartitePair(cfg, A, B)
 
 
+def test_bipartite_pair_reads_each_side_once(monkeypatch):
+    # verify_bipartite reads the caller's sides; the pair reads them no more
+    calls = {"_check_elements": 0, "verify_bipartite": 0}
+    for name in calls:
+        def counted(*args, original=getattr(core_mod, name), name=name):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(core_mod, name, counted)
+    p = BipartitePair(TupleConfig(3, 1), (13,), (2,))
+    assert p.A == (2,) and p.B == (13,)
+    assert calls == {"_check_elements": 2, "verify_bipartite": 1}
+
+
+def test_record_refusals_name_the_first_failing_product():
+    # the records word a failing product as _require_powers does, after
+    # their own prefix; a pair names it as the caller's sides give it
+    cfg = TupleConfig(k=3, n=1)
+    for make, message in (
+            (lambda: DiophantineTuple(cfg, (2, 14)),
+             "not a D_3(1) tuple: 2*14+1 = 29 is not a positive 3-th power"),
+            (lambda: BipartitePair(cfg, (2,), (14,)),
+             "not a BD_3(1) pair: 2*14+1 = 29 is not a positive 3-th power"),
+            (lambda: BipartitePair(cfg, (14,), (2,)),
+             "not a BD_3(1) pair: 14*2+1 = 29 is not a positive 3-th power"),
+            (lambda: BipartitePair(cfg, (2, 3), (13,)),
+             "not a BD_3(1) pair: 3*13+1 = 40 is not a positive 3-th power")):
+        with pytest.raises(InputError) as err:
+            make()
+        assert str(err.value) == message
+
+
 def test_bipartite_pair_tie_orientation():
     # equal minima: lexicographically smaller side becomes A
     # 6*6+28 = 64 and 6*162+28 = 1000 are both cubes

@@ -368,14 +368,16 @@ def test_sweep_budgets():
         ff._refuse_bipartite_work(3137, 3, 9)
     # the k = 2 character-sum sweep took about 19 s to 2 * 10^5 and 66 s
     # to 4 * 10^5 on the box that set the costs
-    def sides(max_p):
-        return [math.isqrt(p) for p in primes_up_to(max_p) if p >= 3]
-    ff._refuse_char_sweep(2, sides(2 * 10 ** 5))
+    # (the sweep sums two intervals [1, m], so each sum is (m, 2m))
+    def sums(max_p):
+        return [(m, 2 * m) for m in
+                (math.isqrt(p) for p in primes_up_to(max_p) if p >= 3)]
+    ff._refuse_char_sums(2, sums(2 * 10 ** 5))
     with pytest.raises(InputError, match="above the cap of 60 s"):
-        ff._refuse_char_sweep(2, sides(4 * 10 ** 5))
+        ff._refuse_char_sums(2, sums(4 * 10 ** 5))
     # one sum over the whole field at p near the cap is past it
     with pytest.raises(InputError, match="above the cap of 60 s"):
-        ff._refuse_char_sweep(2, [999982])
+        ff._refuse_char_sums(2, [(999982, 2 * 999982)])
 
 
 def test_ff_scan_bipartite_work_cap_refused_before_building(monkeypatch):

@@ -486,6 +486,17 @@ def test_power_side_table_matches_trial_division():
                     _trial_division_table(k, n, N), (k, n, N)
 
 
+def test_power_side_table_matches_the_residue_rows():
+    # on the residue route (k = 2, 0 < |n| < N) a search reads rows; the
+    # table must give the same graph for a search to read it there instead
+    for N in (1, 2, 3, 7, 60, 300, 2000):
+        for n in {1, -1, 4, -3, N // 2, -(N // 2), N - 1, 1 - N}:
+            if 0 < abs(n) < N:
+                rows = {a: row for a in range(1, N + 1)
+                        if (row := _row(a, 2, n, N))}
+                assert _power_side_table(2, n, N) == rows, (n, N)
+
+
 def test_residue_route_is_k2_below_the_height():
     # rows only at k = 2 with |n| < N, whatever the degree or the shift
     for N in (1, 2, 3, 60, 1000):
